@@ -79,9 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
 
     p = sub.add_parser("rc", help="ramified branching coefficient rc(alpha^beta, kappa)")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", default="[]")
     p.add_argument("--beta", required=True)
-    p.add_argument("--kappa", required=True)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--kappa")
+    target.add_argument("--r", type=int, help="every kappa of size R, as a table")
 
     p = sub.add_parser("stable", help="stable plethysm p(beta[n], (m), kappa[mn])")
     p.add_argument("--beta", required=True)
@@ -150,102 +152,94 @@ def run(argv=None) -> int:
     return 0
 
 
+def report(query, value, route="closed_form", bounds_met=None, **extra) -> dict:
+    """One result record: the query, its value, the route that computed it,
+    whether the stability bounds held, and any command-specific fields."""
+    return {"query": query, "value": value, "route": route,
+            "bounds_met": bounds_met, **extra}
+
+
 def dispatch(args):
     cmd = args.command
     if cmd == "plethysm":
         nu, mu = parse_partition(args.nu), parse_partition(args.mu)
         if args.lam is not None:
             lam = parse_partition(args.lam)
-            value = coefficients.plethysm_coefficient(nu, mu, lam, args.max_degree)
-            return {
-                "query": f"p({format_partition(nu)},{format_partition(mu)},{format_partition(lam)})",
-                "value": value, "route": "brute_force", "bounds_met": None,
-            }
-        degree = sum(nu) * sum(mu)
-        ceiling = coefficients._max_degree(args.max_degree)
-        if degree > ceiling:
-            raise DomainError(
-                f"expansion degree {degree} exceeds the ceiling {ceiling}")
-        poly = symfunc.plethysm(symfunc.SchurPoly.schur(nu), symfunc.SchurPoly.schur(mu))
-        return {
-            "query": f"expand s{format_partition(nu)} o s{format_partition(mu)}",
-            "value": schur_pairs(poly), "route": "brute_force", "bounds_met": None,
-        }
+            return report(
+                f"p({format_partition(nu)},{format_partition(mu)},{format_partition(lam)})",
+                coefficients.plethysm_coefficient(nu, mu, lam, args.max_degree),
+                route="brute_force")
+        poly = coefficients.expand_plethysm(nu, mu, args.max_degree)
+        return report(f"expand s{format_partition(nu)} o s{format_partition(mu)}",
+                      schur_pairs(poly), route="brute_force")
     if cmd == "lr":
         lam, mu, nu = (parse_partition(args.lam), parse_partition(args.mu),
                        parse_partition(args.nu))
-        return {
-            "query": f"c^{format_partition(lam)}_{format_partition(mu)},{format_partition(nu)}",
-            "value": symfunc.lr_coefficient(lam, mu, nu),
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(
+            f"c^{format_partition(lam)}_{format_partition(mu)},{format_partition(nu)}",
+            symfunc.lr_coefficient(lam, mu, nu))
     if cmd == "rc":
-        alpha, beta, kappa = (parse_partition(args.alpha), parse_partition(args.beta),
-                              parse_partition(args.kappa))
-        value = coefficients.ramified_branching(alpha, beta, kappa)
-        return {
-            "query": (f"rc({format_partition(alpha)}^{format_partition(beta)},"
-                      f"{format_partition(kappa)})"),
-            "value": value, "route": "stable_formula", "bounds_met": None,
-        }
+        alpha, beta = parse_partition(args.alpha), parse_partition(args.beta)
+        prefix = f"rc({format_partition(alpha)}^{format_partition(beta)},"
+        if args.r is not None:
+            if args.r < 0:
+                raise DomainError(f"rc requires --r >= 0, got {args.r}")
+            table = [
+                {"partition": list(kappa),
+                 "coefficient": coefficients.ramified_branching(alpha, beta, kappa)}
+                for kappa in partitions.partitions_of(args.r)
+            ]
+            return report(f"{prefix}kappa|-{args.r})", table, route="stable_formula")
+        kappa = parse_partition(args.kappa)
+        return report(f"{prefix}{format_partition(kappa)})",
+                      coefficients.ramified_branching(alpha, beta, kappa),
+                      route="stable_formula")
     if cmd == "stable":
         beta, kappa = parse_partition(args.beta), parse_partition(args.kappa)
         query = coefficients.StableQuery(beta, args.m, args.n, kappa)
         rep = coefficients.stable_plethysm(query, max_degree=args.max_degree)
-        return {
-            "query": (f"stable beta={format_partition(beta)} m={args.m} n={args.n} "
-                      f"kappa={format_partition(kappa)}"),
-            "value": rep.value, "route": rep.route, "bounds_met": rep.bounds_met,
-        }
+        return report(
+            (f"stable beta={format_partition(beta)} m={args.m} n={args.n} "
+             f"kappa={format_partition(kappa)}"),
+            rep.value, route=rep.route, bounds_met=rep.bounds_met)
     if cmd == "marked":
         if args.distinct:
             found = partitions.marked_partitions_distinct(args.b, args.r)
         else:
             found = partitions.marked_partitions(args.b, args.r, args.cap)
-        report = {
-            "query": f"marked b={args.b} r={args.r} cap={args.cap} distinct={args.distinct}",
-            "value": len(found), "route": "closed_form", "bounds_met": None,
-        }
+        extra = {}
         if args.list_all:
-            report["elements"] = [
+            extra["elements"] = [
                 {"gamma": list(mp.gamma), "epsilon": list(mp.epsilon)} for mp in found
             ]
-        return report
+        return report(
+            f"marked b={args.b} r={args.r} cap={args.cap} distinct={args.distinct}",
+            len(found), **extra)
     if cmd == "gf":
-        coeffs = partitions.stable_two_row_gf(args.b, args.n)
-        return {
-            "query": f"gf b={args.b} upto={args.n}", "value": coeffs,
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"gf b={args.b} upto={args.n}",
+                      partitions.stable_two_row_gf(args.b, args.n))
     if cmd == "tableaux-oracle":
         upper = partitions.cayley_tableaux_count(args.m, args.n, args.k, args.r)
         lower = partitions.cayley_tableaux_count(args.m, args.n, args.k, args.r - 1)
-        return {
-            "query": f"T(m={args.m},n={args.n},k={args.k},r={args.r})",
-            "value": upper - lower, "count_r": upper, "count_r_minus_1": lower,
-            "route": "tableaux_oracle", "bounds_met": None,
-        }
+        return report(f"T(m={args.m},n={args.n},k={args.k},r={args.r})",
+                      upper - lower, route="tableaux_oracle",
+                      count_r=upper, count_r_minus_1=lower)
     if cmd == "diagram":
         return dispatch_diagram(args)
     if cmd == "theta":
         elements, below = diagrams.theta_poset(args.r, args.bound)
-        return {
-            "query": f"theta r={args.r}",
-            "value": [list(t) for t in elements],
-            "relations": {
+        return report(
+            f"theta r={args.r}", [list(t) for t in elements],
+            relations={
                 str(list(t)): sorted(str(list(u)) for u in lows)
                 for t, lows in below.items() if lows
-            },
-            "route": "closed_form", "bounds_met": None,
-        }
+            })
     if cmd == "dq-check":
         beta = parse_partition(args.beta)
         diag_dim, formula_dim = diagrams.dq_dimension_check(args.r, beta)
-        return {
-            "query": f"dq-check r={args.r} beta={format_partition(beta)}",
-            "value": [diag_dim, formula_dim], "match": diag_dim == formula_dim,
-            "route": "stable_formula", "bounds_met": None,
-        }
+        return report(f"dq-check r={args.r} beta={format_partition(beta)}",
+                      [diag_dim, formula_dim], route="stable_formula",
+                      match=diag_dim == formula_dim)
     if cmd == "schur-weyl":
         return dispatch_schur_weyl(args)
     if cmd == "verify":
@@ -259,43 +253,27 @@ def dispatch_diagram(args):
         d1 = diagrams.PartitionDiagram.parse(args.compose[0])
         d2 = diagrams.PartitionDiagram.parse(args.compose[1])
         sc = diagrams.compose(d1, d2)
-        return {
-            "query": f"compose {d1.format()} * {d2.format()}",
-            "value": sc.diagram.format(), "delta_exponent": sc.exp_out,
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"compose {d1.format()} * {d2.format()}", sc.diagram.format(),
+                      delta_exponent=sc.exp_out)
     if args.ramified_compose:
         r1 = diagrams.RamifiedDiagram.parse(args.ramified_compose[0])
         r2 = diagrams.RamifiedDiagram.parse(args.ramified_compose[1])
         sc = diagrams.ramified_compose(r1, r2)
-        return {
-            "query": f"ramified compose {r1.format()} * {r2.format()}",
-            "value": sc.diagram.format(),
-            "delta_in_exponent": sc.exp_in, "delta_out_exponent": sc.exp_out,
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"ramified compose {r1.format()} * {r2.format()}",
+                      sc.diagram.format(),
+                      delta_in_exponent=sc.exp_in, delta_out_exponent=sc.exp_out)
     if args.prop_data:
         d = diagrams.PartitionDiagram.parse(args.prop_data)
         count, perm = d.propagating_data()
-        return {
-            "query": f"prop-data {d.format()}", "value": count,
-            "permutation": list(perm), "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"prop-data {d.format()}", count, permutation=list(perm))
     if args.prop_index:
         rd = diagrams.RamifiedDiagram.parse(args.prop_index)
-        return {
-            "query": f"prop-index {rd.format()}",
-            "value": list(diagrams.propagating_index(rd)),
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"prop-index {rd.format()}", list(diagrams.propagating_index(rd)))
     if args.orbit_expand:
         d = diagrams.PartitionDiagram.parse(args.orbit_expand)
         expansion = diagrams.orbit_expand(d)
-        return {
-            "query": f"orbit-expand {d.format()}",
-            "value": sorted(x.format() for x in expansion),
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"orbit-expand {d.format()}",
+                      sorted(x.format() for x in expansion))
     raise DomainError("diagram requires one of --compose, --ramified-compose, "
                       "--prop-data, --prop-index, --orbit-expand")
 
@@ -304,25 +282,15 @@ def dispatch_schur_weyl(args):
     cap = args.max_entries
     if args.commute:
         m, n, r = args.commute
-        ok = schur_weyl.check_commute(m, n, r, cap=cap)
-        return {
-            "query": f"commute m={m} n={n} r={r}", "value": ok,
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"commute m={m} n={n} r={r}",
+                      schur_weyl.check_commute(m, n, r, cap=cap))
     if args.negative_control:
         m, n, r = args.negative_control
-        ok = schur_weyl.check_commute(m, n, r, cap=cap, swap_roles=True)
-        return {
-            "query": f"negative-control m={m} n={n} r={r}", "value": ok,
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"negative-control m={m} n={n} r={r}",
+                      schur_weyl.check_commute(m, n, r, cap=cap, swap_roles=True))
     if args.rank:
         d, r = args.rank
-        return {
-            "query": f"rank d={d} r={r}",
-            "value": schur_weyl.faithfulness_rank(d, r, cap=cap),
-            "route": "closed_form", "bounds_met": None,
-        }
+        return report(f"rank d={d} r={r}", schur_weyl.faithfulness_rank(d, r, cap=cap))
     raise DomainError("schur-weyl requires one of --commute, --negative-control, --rank")
 
 

@@ -8,7 +8,6 @@ pairs (gamma, eps) splitting |kappa| - |alpha||beta|.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -25,10 +24,9 @@ from plethyra.partitions import (
 )
 from plethyra.symfunc import (
     SchurPoly,
-    character,
+    _plethysm_expansion,
     g_sym,
     h_eps,
-    plethysm_powersum,
 )
 
 DEFAULT_MAX_DEGREE = 60
@@ -39,15 +37,17 @@ class DomainError(ValueError):
     """A precondition of one of the coefficient routines was violated."""
 
 
-def _max_degree(override):
-    if override is not None:
-        return override
-    return int(os.environ.get(MAX_DEGREE_ENV, DEFAULT_MAX_DEGREE))
-
-
-@functools.lru_cache(maxsize=None)
-def _plethysm_expansion(nu, mu):
-    return plethysm_powersum(SchurPoly.schur(nu), SchurPoly.schur(mu))
+def _check_degree(degree, max_degree):
+    """The brute-force ceiling on the degree of s_nu o s_mu, for both the
+    single coefficient and the full expansion."""
+    ceiling = max_degree
+    if ceiling is None:
+        ceiling = int(os.environ.get(MAX_DEGREE_ENV, DEFAULT_MAX_DEGREE))
+    if degree > ceiling:
+        raise DomainError(
+            f"brute-force plethysm degree {degree} exceeds the ceiling "
+            f"{ceiling} (raise --max-degree or {MAX_DEGREE_ENV})"
+        )
 
 
 def plethysm_coefficient(nu, mu, lam, max_degree=None) -> int:
@@ -60,17 +60,15 @@ def plethysm_coefficient(nu, mu, lam, max_degree=None) -> int:
     degree = sum(nu) * sum(mu)
     if sum(lam) != degree:
         return 0
-    ceiling = _max_degree(max_degree)
-    if degree > ceiling:
-        raise DomainError(
-            f"brute-force plethysm degree {degree} exceeds the ceiling "
-            f"{ceiling} (raise --max-degree or {MAX_DEGREE_ENV})"
-        )
-    expansion = _plethysm_expansion(nu, mu)
-    total = sum(c * character(lam, rho) for rho, c in expansion.terms.items())
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral plethysm coefficient {total}")
-    return int(total)
+    _check_degree(degree, max_degree)
+    return _plethysm_expansion(nu, mu).powersum.schur_coefficient(lam)
+
+
+def expand_plethysm(nu, mu, max_degree=None) -> SchurPoly:
+    """The Schur expansion of s_nu o s_mu, under the same degree ceiling."""
+    nu, mu = as_partition(nu), as_partition(mu)
+    _check_degree(sum(nu) * sum(mu), max_degree)
+    return _plethysm_expansion(nu, mu).schur
 
 
 def ramified_branching(alpha, beta, kappa) -> int:

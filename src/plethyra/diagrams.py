@@ -9,7 +9,6 @@ including zero.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,6 +19,7 @@ from plethyra.partitions import (
     is_coarser,
     line_set_partitions,
     mobius,
+    partitions_of,
     std_tableaux_count,
 )
 
@@ -348,17 +348,10 @@ def theta_elements(r: int) -> list:
     out = []
     for zeros in range(r + 1):
         for total in range(r - zeros + 1):
-            for positive in _positive_partitions(total):
+            for positive in partitions_of(total):
                 if sum(positive) + zeros <= r:
                     out.append(positive + (0,) * zeros)
     return sorted(set(out), key=lambda t: (len(t), t), reverse=True)
-
-
-@functools.lru_cache(maxsize=None)
-def _positive_partitions(n):
-    from plethyra.partitions import partitions_of
-
-    return partitions_of(n)
 
 
 def _theta_covers(theta) -> set:
@@ -637,7 +630,6 @@ def dq_dimension_check(r: int, beta) -> tuple:
     weighted by f^kappa.
     """
     from plethyra.coefficients import ramified_branching
-    from plethyra.partitions import partitions_of
 
     beta = tuple(beta)
     diagrammatic = std_tableaux_count(beta) * len(v0_basis(r, 0, sum(beta)))

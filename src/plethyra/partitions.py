@@ -143,6 +143,9 @@ def marked_partitions(b: int, r: int, cap: int | None = None) -> list:
 
     With ``cap`` given, additionally gamma_1 <= cap and epsilon_1 <= cap.
     """
+    if b < 0 or r < 0 or (cap is not None and cap < 0):
+        raise ValueError(
+            f"marked_partitions requires b, r, cap >= 0: b = {b}, r = {r}, cap = {cap}")
     out = []
     for p in range(r + 1):
         for gamma in partitions_exact_length(p, b, cap):
@@ -319,6 +322,8 @@ def stable_two_row_gf(b: int, n: int) -> list:
     z^b / ((1-z^2)...(1-z^b)) * P(z); at b = 0 the (1-z) factor of the
     singleton-free series survives, so the series is (1-z) P(z).
     """
+    if b < 0 or n < 0:
+        raise ValueError(f"stable_two_row_gf requires b, n >= 0: b = {b}, n = {n}")
     p = partition_count_series(n)
     if b == 0:
         return [p[i] - (p[i - 1] if i else 0) for i in range(n + 1)]

@@ -88,13 +88,6 @@ class SparseExactMatrix:
     def scale(self, c):
         return SparseExactMatrix({k: c * v for k, v in self.entries()})
 
-    def to_coordinate_text(self) -> str:
-        """Coordinate-list dump, one "first second value" line per entry."""
-        lines = []
-        for (first, second), val in sorted(self.entries()):
-            lines.append(f"{first} {second} {val}")
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"SparseExactMatrix({self.nnz()} entries)"
 
@@ -269,6 +262,8 @@ def check_commute(m: int, n: int, r: int, cap: int = DEFAULT_ENTRY_CAP,
                   swap_roles: bool = False) -> bool:
     """True when every wreath generator action commutes with every ramified
     generator action on (C^(mn))^(x r), by exact matrix equality."""
+    if min(m, n, r) < 0:
+        raise ValueError(f"check_commute requires m, n, r >= 0: m = {m}, n = {n}, r = {r}")
     d = m * n
     _check_budget(d**r * d, cap)
     group_mats = [
@@ -323,6 +318,8 @@ def _sparse_rank(rows) -> int:
 
 def faithfulness_rank(d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> int:
     """Rank of the span of all (r, r)-diagram actions on (C^d)^(x r)."""
+    if d < 0 or r < 0:
+        raise ValueError(f"faithfulness_rank requires d, r >= 0: d = {d}, r = {r}")
     diagrams = [
         PartitionDiagram(r, r, blocks) for blocks in line_set_partitions(2 * r)
     ]

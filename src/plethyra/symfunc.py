@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from plethyra.partitions import as_partition, partitions_of
@@ -137,6 +138,17 @@ class PowerSumPoly:
 
     __rmul__ = __mul__
 
+    def schur_coefficient(self, lam) -> int:
+        """<self, s_lam> for self homogeneous of degree |lam|: the pairing
+        with the single character column chi^lam."""
+        total = sum(c * character(lam, rho) for rho, c in self.terms.items())
+        if total.denominator != 1:
+            raise ValueError(
+                f"non-integral Schur coefficient {total} at {lam}; "
+                "arithmetic bug upstream"
+            )
+        return int(total)
+
     def scale_parts(self, k: int) -> "PowerSumPoly":
         """Substitute p_j -> p_{jk}, the plethysm by p_k."""
         return PowerSumPoly(
@@ -233,11 +245,6 @@ def _schur_times_schur(mu, nu) -> dict:
     return out
 
 
-def schur_product(f: SchurPoly, g: SchurPoly) -> SchurPoly:
-    """Product of symmetric functions in the Schur basis."""
-    return f * g
-
-
 @functools.lru_cache(maxsize=None)
 def generalized_lr(beta, seq) -> int:
     """Generalized LR coefficient: multiplicity of the tensor product of
@@ -320,25 +327,14 @@ def schur_to_powersum(f: SchurPoly) -> PowerSumPoly:
 
 def powersum_to_schur(g: PowerSumPoly) -> SchurPoly:
     """Inverse transition; requires integral Schur coefficients."""
-    by_degree = {}
+    by_degree = defaultdict(PowerSumPoly)
     for rho, c in g.terms.items():
-        by_degree.setdefault(sum(rho), {})[rho] = c
+        by_degree[sum(rho)].terms[rho] = c
     out = {}
-    for degree, terms in by_degree.items():
+    for degree, part in by_degree.items():
         for lam in partitions_of(degree):
-            coeff = sum(c * character(lam, rho) for rho, c in terms.items())
-            if coeff:
-                if coeff.denominator != 1:
-                    raise ValueError(
-                        f"non-integral Schur coefficient {coeff} at {lam}; "
-                        "arithmetic bug upstream"
-                    )
-                out[lam] = out.get(lam, 0) + int(coeff)
+            out[lam] = part.schur_coefficient(lam)
     return SchurPoly(out)
-
-
-def inner_product(f: SchurPoly, g: SchurPoly) -> int:
-    return f.inner(g)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +375,25 @@ def plethysm_powersum(f: SchurPoly, g: SchurPoly) -> PowerSumPoly:
 
 def plethysm(f: SchurPoly, g: SchurPoly) -> SchurPoly:
     """The plethysm f o g of homogeneous symmetric functions."""
-    result = powersum_to_schur(plethysm_powersum(f, g))
-    return result
+    return powersum_to_schur(plethysm_powersum(f, g))
+
+
+class PlethysmExpansion:
+    """s_nu o s_mu, held once: its power-sum expansion, and the Schur form
+    built from that expansion the first time it is asked for."""
+
+    def __init__(self, powersum: PowerSumPoly):
+        self.powersum = powersum
+
+    @functools.cached_property
+    def schur(self) -> SchurPoly:
+        return powersum_to_schur(self.powersum)
 
 
 @functools.lru_cache(maxsize=None)
-def _schur_plethysm(nu, mu) -> SchurPoly:
-    return plethysm(SchurPoly.schur(nu), SchurPoly.schur(mu))
+def _plethysm_expansion(nu, mu) -> PlethysmExpansion:
+    """The one plethysm cache, keyed by (nu, mu)."""
+    return PlethysmExpansion(plethysm_powersum(SchurPoly.schur(nu), SchurPoly.schur(mu)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,7 +408,7 @@ def h_eps(eps) -> SchurPoly:
         mult[part] = mult.get(part, 0) + 1
     out = SchurPoly.one()
     for j, e in sorted(mult.items()):
-        out = out * _schur_plethysm((e,), (j,))
+        out = out * _plethysm_expansion((e,), (j,)).schur
     return out
 
 
@@ -414,7 +422,7 @@ def _compose_on_components(outer, inner: SchurPoly) -> SchurPoly:
     """
     out = SchurPoly()
     for mu, c in inner.terms.items():
-        out = out + _schur_plethysm(tuple(outer), mu) * c
+        out = out + _plethysm_expansion(tuple(outer), mu).schur * c
     return out
 
 
@@ -472,7 +480,8 @@ def g_sym(alpha, beta, gamma, zero_count=None) -> SchurPoly:
         i, _ = sizes[idx]
         for piece in choices[idx]:
             if alpha == ():
-                factor = _schur_plethysm(piece, (i,)) if i else SchurPoly.schur(piece)
+                factor = (_plethysm_expansion(piece, (i,)).schur if i
+                          else SchurPoly.schur(piece))
             else:
                 factor = _compose_on_components(piece, _pieri(alpha, i))
             if factor:

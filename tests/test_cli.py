@@ -1,14 +1,29 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from plethyra.cli import parse_partition, run
+from plethyra.verify import EMPTY_INNER_TABLE, KAPPAS_5
+
+# One query per subcommand and flag, with its JSON report minus elapsed_ms,
+# recorded before the dispatch code was merged into one report constructor.
+# The file is a fixed reference: do not regenerate it from the current code.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def run_json(capsys, argv):
     code = run(argv + ["--format", "json"])
     out = capsys.readouterr().out.strip()
     return code, json.loads(out)
+
+
+def run_error(capsys, argv):
+    """Exit code and the stderr lines of a query that must fail cleanly."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.strip().splitlines()
 
 
 class TestParsePartition:
@@ -97,7 +112,51 @@ class TestSubcommands:
         assert code == 0 and report["value"] is True
 
 
+class TestGolden:
+    @pytest.mark.parametrize("entry", GOLDEN, ids=[e["name"] for e in GOLDEN])
+    def test_report_as_recorded(self, capsys, entry):
+        code, report = run_json(capsys, entry["argv"])
+        report.pop("elapsed_ms")
+        assert code == 0
+        assert report == entry["report"]
+
+    def test_rc_table_is_empty_inner_table(self, capsys):
+        code, report = run_json(capsys, ["rc", "--r", "5", "--beta", "[2,1]"])
+        assert code == 0
+        assert [e["partition"] for e in report["value"]] == [list(k) for k in KAPPAS_5]
+        assert tuple(e["coefficient"] for e in report["value"]) == EMPTY_INNER_TABLE
+
+    @pytest.mark.parametrize("lam", [[], ["--lam", "[21]"]], ids=["expansion", "coefficient"])
+    def test_one_degree_ceiling_message(self, capsys, lam):
+        code, lines = run_error(
+            capsys, ["plethysm", "--nu", "[3]", "--mu", "[7]", "--max-degree", "20", *lam])
+        assert code == 1
+        assert lines == ["error: brute-force plethysm degree 21 exceeds the ceiling 20 "
+                         "(raise --max-degree or PLETHYRA_MAX_DEGREE)"]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,precondition", [
+        (["gf", "--b", "-1", "--n", "5"], "stable_two_row_gf requires b, n >= 0"),
+        (["gf", "--b", "1", "--n", "-1"], "stable_two_row_gf requires b, n >= 0"),
+        (["marked", "--b", "-1", "--r", "4"], "marked_partitions requires b, r, cap >= 0"),
+        (["marked", "--b", "1", "--r", "-1"], "marked_partitions requires b, r, cap >= 0"),
+        (["marked", "--b", "1", "--r", "4", "--cap", "-1"],
+         "marked_partitions requires b, r, cap >= 0"),
+        (["schur-weyl", "--rank", "-1", "2"], "faithfulness_rank requires d, r >= 0"),
+        (["schur-weyl", "--rank", "2", "-1"], "faithfulness_rank requires d, r >= 0"),
+        (["schur-weyl", "--commute", "-1", "2", "2"], "check_commute requires m, n, r >= 0"),
+        (["schur-weyl", "--commute", "2", "-1", "2"], "check_commute requires m, n, r >= 0"),
+        (["schur-weyl", "--commute", "2", "2", "-1"], "check_commute requires m, n, r >= 0"),
+        (["rc", "--beta", "[2,1]", "--r", "-1"], "rc requires --r >= 0"),
+    ], ids=["gf-b", "gf-n", "marked-b", "marked-r", "marked-cap", "rank-d", "rank-r",
+            "commute-m", "commute-n", "commute-r", "rc-r"])
+    def test_negative_integer_exit_one(self, capsys, argv, precondition):
+        code, lines = run_error(capsys, argv)
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert precondition in lines[0]
+
     def test_domain_error_exit_one(self, capsys):
         code = run(["rc", "--alpha", "[1]", "--beta", "[2,1]", "--kappa", "[2]"])
         assert code == 1

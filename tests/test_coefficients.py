@@ -8,6 +8,7 @@ from plethyra.coefficients import (
     StableQuery,
     bounds_met,
     cayley_sylvester,
+    expand_plethysm,
     hook_stable,
     one_row_kappa_stable,
     plethysm_coefficient,
@@ -64,6 +65,20 @@ class TestPlethysmCoefficient:
                     assert expansion.coefficient(lam) == plethysm_coefficient(
                         nu, mu, lam
                     )
+
+    def test_expansion_reads_the_same_cache_entry(self):
+        from plethyra import coefficients, symfunc
+
+        assert coefficients._plethysm_expansion is symfunc._plethysm_expansion
+        entry = symfunc._plethysm_expansion((2, 1), (2,))
+        expansion = expand_plethysm((2, 1), (2,))
+        assert expansion is entry.schur
+        assert expansion == symfunc.plethysm(symfunc.SchurPoly.schur((2, 1)),
+                                             symfunc.SchurPoly.schur((2,)))
+
+    def test_expansion_degree_guard(self):
+        with pytest.raises(DomainError):
+            expand_plethysm((10,), (10,), max_degree=60)
 
 
 class TestRamifiedBranching:

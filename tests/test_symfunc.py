@@ -11,11 +11,9 @@ from plethyra.symfunc import (
     g_sym,
     generalized_lr,
     h_eps,
-    inner_product,
     lr_coefficient,
     plethysm,
     powersum_to_schur,
-    schur_product,
     schur_to_powersum,
     zee,
 )
@@ -179,10 +177,10 @@ class TestInnerProduct:
         for lam in partitions_of(4):
             for mu in partitions_of(4):
                 expected = 1 if lam == mu else 0
-                assert inner_product(s(lam), s(mu)) == expected
+                assert s(lam).inner(s(mu)) == expected
 
     def test_no_three_one_in_h22(self):
-        assert inner_product(plethysm(s((2,)), s((2,))), s((3, 1))) == 0
+        assert plethysm(s((2,)), s((2,))).inner(s((3, 1))) == 0
 
 
 class TestPlethysm:
