@@ -8,7 +8,6 @@ space.
 
 from plethyra.partitions import (
     MarkedPartition,
-    ZeroExtendedPartition,
     marked_partitions,
     marked_partitions_distinct,
     partitions_no_singletons,
@@ -36,7 +35,6 @@ __all__ = [
     "MarkedPartition",
     "SchurPoly",
     "StableQuery",
-    "ZeroExtendedPartition",
     "cayley_sylvester",
     "g_sym",
     "h_eps",

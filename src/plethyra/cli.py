@@ -204,7 +204,7 @@ def dispatch(args):
             rep.value, route=rep.route, bounds_met=rep.bounds_met)
     if cmd == "marked":
         if args.distinct:
-            found = partitions.marked_partitions_distinct(args.b, args.r)
+            found = partitions.marked_partitions_distinct(args.b, args.r, args.cap)
         else:
             found = partitions.marked_partitions(args.b, args.r, args.cap)
         extra = {}
@@ -219,6 +219,8 @@ def dispatch(args):
         return report(f"gf b={args.b} upto={args.n}",
                       partitions.stable_two_row_gf(args.b, args.n))
     if cmd == "tableaux-oracle":
+        if args.r < 0:
+            raise DomainError(f"tableaux-oracle requires --r >= 0, got {args.r}")
         upper = partitions.cayley_tableaux_count(args.m, args.n, args.k, args.r)
         lower = partitions.cayley_tableaux_count(args.m, args.n, args.k, args.r - 1)
         return report(f"T(m={args.m},n={args.n},k={args.k},r={args.r})",

@@ -10,7 +10,6 @@ including zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from plethyra.partitions import (
@@ -128,13 +127,6 @@ class PartitionDiagram:
         rank = {v: i + 1 for i, v in enumerate(south_minima)}
         perm = tuple(rank[min(v for v in b if v > self.r)] for b in by_north)
         return len(props), perm
-
-    def reflect(self) -> "PartitionDiagram":
-        """Reflection through the horizontal axis (the * anti-involution)."""
-        flip = lambda v: v + self.s if v <= self.r else v - self.r
-        return PartitionDiagram(
-            self.s, self.r, [tuple(flip(v) for v in b) for b in self.blocks]
-        )
 
     def relabel_north(self, perm) -> "PartitionDiagram":
         """Apply a permutation (one-line form) to the northern labels."""
@@ -379,6 +371,8 @@ def theta_poset(r: int, bound: int = DEFAULT_THETA_BOUND):
     Returns (elements, strictly_below) where strictly_below[t] is the set
     of indices strictly smaller than t in the transitive closure.
     """
+    if r < 0:
+        raise ValueError(f"theta_poset requires r >= 0, got r = {r}")
     if r > bound:
         raise ValueError(f"theta_poset bound exceeded: r = {r} > {bound}")
     elements = theta_elements(r)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 
@@ -17,13 +16,6 @@ class MarkedPartition(NamedTuple):
 
     gamma: tuple
     epsilon: tuple
-
-
-class ZeroExtendedPartition(NamedTuple):
-    """A partition together with a number of distinguished zero parts."""
-
-    gamma: tuple
-    zero_count: int
 
 
 class PaddedPartition(NamedTuple):
@@ -156,11 +148,12 @@ def marked_partitions(b: int, r: int, cap: int | None = None) -> list:
     return out
 
 
-def marked_partitions_distinct(b: int, r: int) -> list:
-    """The b-marked partitions of r whose gamma has pairwise distinct parts."""
+def marked_partitions_distinct(b: int, r: int, cap: int | None = None) -> list:
+    """The b-marked partitions of r whose gamma has pairwise distinct parts,
+    with the optional ``cap`` of ``marked_partitions``."""
     return [
         mp
-        for mp in marked_partitions(b, r)
+        for mp in marked_partitions(b, r, cap)
         if len(set(mp.gamma)) == len(mp.gamma)
     ]
 
@@ -233,7 +226,11 @@ def _cayley_count(widths: tuple, m: int, prev_top: int, prev_bot: int, remaining
 
 
 def cayley_tableaux_count(m: int, n: int, k: int, r: int) -> int:
-    """Count semistandard (n-k, k)-tableaux, entries in {0..m}, entry sum r."""
+    """Count semistandard (n-k, k)-tableaux, entries in {0..m}, entry sum r
+    (0 for r < 0)."""
+    if min(m, n, k) < 0:
+        raise ValueError(
+            f"cayley_tableaux_count requires m, n, k >= 0: m = {m}, n = {n}, k = {k}")
     if n - k < k:
         raise ValueError(f"need n - k >= k, got n - k = {n - k} < k = {k}")
     if r < 0:

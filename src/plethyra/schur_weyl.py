@@ -2,15 +2,15 @@
 
 The symmetric group (or a wreath product subgroup) acts diagonally on the
 left of tensor space; partition diagrams (or ramified diagrams) act on the
-right.  All matrices are sparse with exact integer or rational entries,
-and the rank computation is exact Gaussian elimination.  Floating point
-is banned here: rank and commutation claims are theorems.
+right.  All matrices are sparse with exact integer entries, and the rank
+computation is fraction-free echelon elimination over the integers.
+Floating point is banned here: rank and commutation claims are theorems.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import gcd
 
 from plethyra.diagrams import PartitionDiagram, RamifiedDiagram
 from plethyra.partitions import canonical_set_partition, line_set_partitions
@@ -38,9 +38,6 @@ class SparseExactMatrix:
         for (first, second), val in (entries or {}).items():
             if val:
                 self.rows.setdefault(first, {})[second] = val
-
-    def entry(self, first, second):
-        return self.rows.get(first, {}).get(second, 0)
 
     def transpose(self) -> "SparseExactMatrix":
         return SparseExactMatrix(
@@ -113,6 +110,29 @@ def sym_action(sigma, d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> SparseExa
     return SparseExactMatrix(entries)
 
 
+def _valuations(blocks, assignments, r: int):
+    """The values of vertices 1..2r under each assignment of one value per
+    block.  Blocks are nonempty, so distinct assignments give distinct
+    valuations."""
+    for values in assignments:
+        of = [0] * (2 * r)
+        for block, val in zip(blocks, values):
+            for v in block:
+                of[v - 1] = val
+        yield of
+
+
+def _block_action(diag: PartitionDiagram, d: int, r: int, cap: int, name: str,
+                  assignments) -> SparseExactMatrix:
+    """The 0/1 matrix keyed (src, dest) with one entry per assignment of
+    values in 1..d to the blocks of ``diag``."""
+    if (diag.r, diag.s) != (r, r):
+        raise ValueError(f"{name} needs an (r, r)-diagram")
+    _check_budget(d ** len(diag.blocks), cap)
+    return SparseExactMatrix({(tuple(of[:r]), tuple(of[r:])): 1
+                              for of in _valuations(diag.blocks, assignments, r)})
+
+
 def diagram_action(diag: PartitionDiagram, d: int, r: int,
                    cap: int = DEFAULT_ENTRY_CAP) -> SparseExactMatrix:
     """Right action of a diagram basis element on (C^d)^(x r).
@@ -121,39 +141,15 @@ def diagram_action(diag: PartitionDiagram, d: int, r: int,
     multi-index is constant on every block; one free value per block, so
     the matrix has d^(number of blocks) entries.
     """
-    if (diag.r, diag.s) != (r, r):
-        raise ValueError("diagram_action needs an (r, r)-diagram")
-    blocks = diag.blocks
-    _check_budget(d ** len(blocks), cap)
-    entries = {}
-    for values in itertools.product(range(1, d + 1), repeat=len(blocks)):
-        combined = {}
-        for block, val in zip(blocks, values):
-            for v in block:
-                combined[v] = val
-        src = tuple(combined[i] for i in range(1, r + 1))
-        dest = tuple(combined[r + i] for i in range(1, r + 1))
-        entries[(src, dest)] = entries.get((src, dest), 0) + 1
-    return SparseExactMatrix(entries)
+    return _block_action(diag, d, r, cap, "diagram_action",
+                         itertools.product(range(1, d + 1), repeat=len(diag.blocks)))
 
 
 def orbit_action(diag: PartitionDiagram, d: int, r: int,
                  cap: int = DEFAULT_ENTRY_CAP) -> SparseExactMatrix:
     """Right action of an orbit basis element: block values must be distinct."""
-    if (diag.r, diag.s) != (r, r):
-        raise ValueError("orbit_action needs an (r, r)-diagram")
-    blocks = diag.blocks
-    _check_budget(d ** len(blocks), cap)
-    entries = {}
-    for values in itertools.permutations(range(1, d + 1), len(blocks)):
-        combined = {}
-        for block, val in zip(blocks, values):
-            for v in block:
-                combined[v] = val
-        src = tuple(combined[i] for i in range(1, r + 1))
-        dest = tuple(combined[r + i] for i in range(1, r + 1))
-        entries[(src, dest)] = 1
-    return SparseExactMatrix(entries)
+    return _block_action(diag, d, r, cap, "orbit_action",
+                         itertools.permutations(range(1, d + 1), len(diag.blocks)))
 
 
 def flatten_index(i: int, j: int, m: int) -> int:
@@ -173,30 +169,18 @@ def ramified_action(rd: RamifiedDiagram, m: int, n: int, r: int,
     """
     if (rd.r, rd.s) != (r, r):
         raise ValueError("ramified_action needs an (r, r)-ramified diagram")
-    inner_blocks, outer_blocks = rd.inner.blocks, rd.outer.blocks
+    sub_blocks, sup_blocks = rd.inner.blocks, rd.outer.blocks
     if swap_roles:
-        inner_range, outer_range = n, m
-    else:
-        inner_range, outer_range = m, n
-    _check_budget(inner_range ** len(inner_blocks) * outer_range ** len(outer_blocks), cap)
+        sub_blocks, sup_blocks = sup_blocks, sub_blocks
+    _check_budget(m ** len(sub_blocks) * n ** len(sup_blocks), cap)
+    subs = _valuations(sub_blocks, itertools.product(range(1, m + 1), repeat=len(sub_blocks)), r)
+    sups = list(_valuations(sup_blocks,
+                            itertools.product(range(1, n + 1), repeat=len(sup_blocks)), r))
     entries = {}
-    for ivals in itertools.product(range(1, inner_range + 1), repeat=len(inner_blocks)):
-        i_of = {}
-        for block, val in zip(inner_blocks, ivals):
-            for v in block:
-                i_of[v] = val
-        for jvals in itertools.product(range(1, outer_range + 1), repeat=len(outer_blocks)):
-            j_of = {}
-            for block, val in zip(outer_blocks, jvals):
-                for v in block:
-                    j_of[v] = val
-            if swap_roles:
-                flat = lambda v: flatten_index(j_of[v], i_of[v], m)
-            else:
-                flat = lambda v: flatten_index(i_of[v], j_of[v], m)
-            src = tuple(flat(i) for i in range(1, r + 1))
-            dest = tuple(flat(r + i) for i in range(1, r + 1))
-            entries[(src, dest)] = entries.get((src, dest), 0) + 1
+    for i_of in subs:
+        for j_of in sups:
+            flat = [flatten_index(i, j, m) for i, j in zip(i_of, j_of)]
+            entries[(tuple(flat[:r]), tuple(flat[r:]))] = 1
     return SparseExactMatrix(entries)
 
 
@@ -286,34 +270,34 @@ def check_commute(m: int, n: int, r: int, cap: int = DEFAULT_ENTRY_CAP,
 
 
 def _sparse_rank(rows) -> int:
-    """Exact rank of a list of sparse row dicts over the rationals.
+    """Exact rank of a list of sparse integer row dicts, without fractions.
 
-    Deterministic pivoting: smallest column key among the remaining rows.
+    Incremental echelon form: a row is reduced at its smallest column
+    against the pivot row that owns that column, as a*row - b*pivot, and
+    divided by the gcd of its entries; when no pivot row owns its smallest
+    column it becomes one.  The rank is the number of pivot rows.  The
+    input rows are not mutated.
     """
-    rows = [dict(row) for row in rows if row]
-    rank = 0
-    while rows:
-        pivot_col = min(min(row) for row in rows)
-        pivot_row = next(row for row in rows if pivot_col in row)
-        rows.remove(pivot_row)
-        rank += 1
-        pivot_val = pivot_row[pivot_col]
-        reduced = []
-        for row in rows:
-            if pivot_col in row:
-                factor = Fraction(row[pivot_col], pivot_val)
-                new = dict(row)
-                for col, val in pivot_row.items():
-                    entry = new.get(col, 0) - factor * val
-                    if entry:
-                        new[col] = entry
-                    else:
-                        new.pop(col, None)
-                row = new
-            if row:
-                reduced.append(row)
-        rows = reduced
-    return rank
+    pivots = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            g = gcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            new = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                val = new.get(c, 0) - b * v
+                if val:
+                    new[c] = val
+                else:
+                    del new[c]
+            g = gcd(*new.values())
+            row = {c: v // g for c, v in new.items()} if g > 1 else new
+    return len(pivots)
 
 
 def faithfulness_rank(d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> int:
@@ -325,11 +309,8 @@ def faithfulness_rank(d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> int:
     ]
     estimate = sum(d ** len(diag.blocks) for diag in diagrams)
     _check_budget(estimate, cap)
-    rows = []
-    for diag in diagrams:
-        mat = diagram_action(diag, d, r, cap=cap)
-        rows.append({key: val for key, val in mat.entries()})
-    return _sparse_rank(rows)
+    return _sparse_rank(dict(diagram_action(diag, d, r, cap=cap).entries())
+                        for diag in diagrams)
 
 
 # ---------------------------------------------------------------------------

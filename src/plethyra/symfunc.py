@@ -43,10 +43,6 @@ class SchurPoly:
     def coefficient(self, lam) -> int:
         return self.terms.get(tuple(lam), 0)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(lam) for lam in self.terms}
-        return len(degrees) <= 1
-
     def degree(self):
         """Degree of a homogeneous value; None for 0, error if mixed."""
         degrees = {sum(lam) for lam in self.terms}
@@ -433,34 +429,25 @@ def _pieri(alpha, i) -> SchurPoly:
     return SchurPoly.schur(alpha) * SchurPoly.schur((i,))
 
 
-def g_sym(alpha, beta, gamma, zero_count=None) -> SchurPoly:
+def g_sym(alpha, beta, gamma) -> SchurPoly:
     """The branching symmetric function G^alpha_{beta, gamma}.
 
-    gamma may carry distinguished zero parts, either inline or through a
-    ``ZeroExtendedPartition``; they are rederived from ell(gamma) when
-    ``zero_count`` is omitted.  Returns 0 exactly when the side conditions
-    fail: alpha empty with ell(gamma) != |beta|, or alpha nonempty with
-    ell(gamma) > |beta|.
+    Zero parts of gamma are dropped; for nonempty alpha, gamma carries
+    |beta| - ell(gamma) distinguished zero parts.  Returns 0 exactly when
+    the side conditions fail: alpha empty with ell(gamma) != |beta|, or
+    alpha nonempty with ell(gamma) > |beta|.
     """
     alpha, beta = tuple(alpha), tuple(beta)
-    if hasattr(gamma, "zero_count"):
-        if zero_count is None:
-            zero_count = gamma.zero_count
-        gamma = gamma.gamma
     gamma = tuple(x for x in tuple(gamma) if x)
     b = sum(beta)
     if alpha == ():
-        if len(gamma) != b or (zero_count or 0) != 0:
+        if len(gamma) != b:
             return SchurPoly()
         c0 = 0
     else:
         if len(gamma) > b:
             return SchurPoly()
         c0 = b - len(gamma)
-        if zero_count is not None and zero_count != c0:
-            raise ValueError(
-                f"zero_count {zero_count} inconsistent with |beta| - ell(gamma) = {c0}"
-            )
     mult = {}
     for part in gamma:
         mult[part] = mult.get(part, 0) + 1

@@ -202,3 +202,23 @@ def count_partitions_brute(n):
         return sum(rec(n - k, k) for k in range(min(n, max_part), 0, -1))
 
     return rec(n, n)
+
+
+def dense_rank(matrix):
+    """Rank of a dense matrix (list of equal-length rows) by Gauss-Jordan
+    elimination over Fraction, column by column."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

@@ -86,6 +86,9 @@ class TestSubcommands:
     def test_marked_and_gf(self, capsys):
         code, report = run_json(capsys, ["marked", "--b", "2", "--r", "4"])
         assert code == 0 and report["value"] == 3
+        code, report = run_json(capsys, [
+            "marked", "--b", "1", "--r", "3", "--distinct", "--cap", "2"])
+        assert code == 0 and report["value"] == 1
         code, report = run_json(capsys, ["gf", "--b", "0", "--n", "6"])
         assert code == 0 and report["value"] == [1, 0, 1, 1, 2, 2, 4]
 
@@ -149,8 +152,18 @@ class TestExitCodes:
         (["schur-weyl", "--commute", "2", "-1", "2"], "check_commute requires m, n, r >= 0"),
         (["schur-weyl", "--commute", "2", "2", "-1"], "check_commute requires m, n, r >= 0"),
         (["rc", "--beta", "[2,1]", "--r", "-1"], "rc requires --r >= 0"),
+        (["theta", "--r", "-1"], "theta_poset requires r >= 0"),
+        (["tableaux-oracle", "--m", "-1", "--n", "2", "--k", "1", "--r", "1"],
+         "cayley_tableaux_count requires m, n, k >= 0"),
+        (["tableaux-oracle", "--m", "2", "--n", "-1", "--k", "0", "--r", "1"],
+         "cayley_tableaux_count requires m, n, k >= 0"),
+        (["tableaux-oracle", "--m", "2", "--n", "4", "--k", "-1", "--r", "1"],
+         "cayley_tableaux_count requires m, n, k >= 0"),
+        (["tableaux-oracle", "--m", "2", "--n", "4", "--k", "1", "--r", "-1"],
+         "tableaux-oracle requires --r >= 0"),
     ], ids=["gf-b", "gf-n", "marked-b", "marked-r", "marked-cap", "rank-d", "rank-r",
-            "commute-m", "commute-n", "commute-r", "rc-r"])
+            "commute-m", "commute-n", "commute-r", "rc-r", "theta-r", "tableaux-m",
+            "tableaux-n", "tableaux-k", "tableaux-r"])
     def test_negative_integer_exit_one(self, capsys, argv, precondition):
         code, lines = run_error(capsys, argv)
         assert code == 1

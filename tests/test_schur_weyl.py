@@ -1,12 +1,15 @@
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plethyra.diagrams import PartitionDiagram, RamifiedDiagram, compose, ramified_compose
 from plethyra.partitions import bell_number, line_set_partitions
 from plethyra.schur_weyl import (
     BudgetError,
     SparseExactMatrix,
+    _sparse_rank,
     check_commute,
     diagram_action,
     faithfulness_rank,
@@ -21,6 +24,8 @@ from plethyra.schur_weyl import (
     wreath_embed,
     wreath_generators,
 )
+
+from oracles import dense_rank
 
 
 def all_diagrams(r):
@@ -203,6 +208,12 @@ class TestFaithfulness:
     def test_rank_trivial(self):
         assert faithfulness_rank(1, 1) == 1
 
+    def test_rank_deficient_three_strands(self):
+        # the rank is the number of set-partitions of 2r = 6 points into
+        # at most d = 4 blocks, sum_{k <= 4} S(6, k)
+        assert faithfulness_rank(4, 3) == 187 == sum(
+            stirling2(6, k) for k in range(5))
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             faithfulness_rank(6, 3, cap=10**3)
@@ -210,6 +221,37 @@ class TestFaithfulness:
     @pytest.mark.slow
     def test_rank_six_three(self):
         assert faithfulness_rank(6, 3) == bell_number(6) == 203
+
+
+def stirling2(n, k):
+    """Set-partitions of n points into exactly k blocks."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, some rows repeated or summed from others so
+    that rank deficiency is common."""
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 8 - len(rows)))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        summed = draw(st.booleans())
+        rows.append([x + y if summed else x for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+class TestSparseRank:
+    @given(integer_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_oracle(self, matrix):
+        rows = [{col: x for col, x in enumerate(row) if x} for row in matrix]
+        before = copy.deepcopy(rows)
+        assert _sparse_rank(rows) == dense_rank(matrix)
+        assert rows == before
 
 
 class TestValueTypes:

@@ -91,8 +91,6 @@ class TestGeneralizedLR:
 
     def test_one_row_iff(self):
         # restricting a one-row shape is nonzero exactly on one-row factors
-        from itertools import product as iproduct
-
         for c2, c1 in [(2, 2), (3, 1), (2, 3)]:
             b = c2 + c1
             for f2 in partitions_of(c2):
@@ -276,8 +274,3 @@ class TestGSym:
                         value = g_sym(alpha, beta, gamma)
                         if value:
                             assert value.degree() == sum(gamma) + sum(alpha) * sum(beta)
-
-    def test_zero_count_consistency(self):
-        assert g_sym((1,), (2, 1), (2,), zero_count=2)
-        with pytest.raises(ValueError):
-            g_sym((1,), (2, 1), (2,), zero_count=1)
