@@ -184,9 +184,9 @@ def dispatch(args):
         if args.r is not None:
             if args.r < 0:
                 raise DomainError(f"rc requires --r >= 0, got {args.r}")
+            branching = coefficients._branching_function(alpha, beta, args.r)
             table = [
-                {"partition": list(kappa),
-                 "coefficient": coefficients.ramified_branching(alpha, beta, kappa)}
+                {"partition": list(kappa), "coefficient": branching.coefficient(kappa)}
                 for kappa in partitions.partitions_of(args.r)
             ]
             return report(f"{prefix}kappa|-{args.r})", table, route="stable_formula")

@@ -1,13 +1,16 @@
 """Plethysm coefficients, ramified branching coefficients, and the stable
 closed forms, each with an independently computable route.
 
-The branching coefficient rc(alpha^beta, kappa) is evaluated through the
-symmetric-function form: a sum of inner products <G * H_eps, s_kappa> over
-pairs (gamma, eps) splitting |kappa| - |alpha||beta|.
+The branching coefficient rc(alpha^beta, kappa) is read from one symmetric
+function per (alpha, beta, r = |kappa|): F = sum over p of G_p * H_q with
+p + q = r - |alpha||beta|, where G_p sums the G^alpha_{beta,gamma} with
+|gamma| = p and H_q sums the h_eps with singleton-free eps of size q.  F does
+not depend on kappa, so it is built once and every kappa of r is read off it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -71,36 +74,54 @@ def expand_plethysm(nu, mu, max_degree=None) -> SchurPoly:
     return _plethysm_expansion(nu, mu).schur
 
 
-def ramified_branching(alpha, beta, kappa) -> int:
-    """The ramified branching coefficient rc(alpha^beta, kappa).
+def _summed(polys) -> SchurPoly:
+    """The sum of several SchurPolys, accumulated in one dict."""
+    out = {}
+    for poly in polys:
+        for lam, c in poly.terms.items():
+            out[lam] = out.get(lam, 0) + c
+    return SchurPoly(out)
 
-    Sums <G^alpha_{beta,gamma} H_eps, s_kappa> over p + q = r - |alpha||beta|,
-    gamma of size p (exactly |beta| parts when alpha is empty, at most
-    |beta| parts otherwise), and singleton-free eps of size q.
+
+# Bounded so a long-lived process does not grow without limit; 64
+# (alpha, beta, r) triples hold several kappa sweeps at once.
+BRANCHING_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=BRANCHING_CACHE_SIZE)
+def _branching_function(alpha, beta, r) -> SchurPoly:
+    """F = sum over p of G_p * H_{r - |alpha||beta| - p}, whose coefficient
+    of s_kappa is rc(alpha^beta, kappa) for every kappa of size r.
+
+    G_p sums G^alpha_{beta,gamma} over gamma of size p (exactly |beta| parts
+    when alpha is empty, at most |beta| parts otherwise); H_q sums h_eps
+    over the singleton-free eps of size q.
     """
-    alpha, beta, kappa = as_partition(alpha), as_partition(beta), as_partition(kappa)
-    r = sum(kappa)
     a, b = sum(alpha), sum(beta)
     if r < a * b:
         raise DomainError(f"rc requires |kappa| >= |alpha|*|beta|: {r} < {a * b}")
-    s_kappa = SchurPoly.schur(kappa)
-    total = 0
+    products = []
     for p in range(r - a * b + 1):
-        q = r - a * b - p
-        eps_list = partitions_no_singletons(q)
+        eps_list = partitions_no_singletons(r - a * b - p)
         if not eps_list:
             continue
         if alpha == ():
             gammas = partitions_exact_length(p, b)
         else:
             gammas = [g for g in partitions_of(p) if len(g) <= b]
-        for gamma in gammas:
-            g_poly = g_sym(alpha, beta, gamma)
-            if not g_poly:
-                continue
-            for eps in eps_list:
-                total += (g_poly * h_eps(eps)).inner(s_kappa)
-    return total
+        g_p = _summed(g_sym(alpha, beta, gamma) for gamma in gammas)
+        if g_p:
+            products.append(g_p * _summed(h_eps(eps) for eps in eps_list))
+    return _summed(products)
+
+
+def ramified_branching(alpha, beta, kappa) -> int:
+    """The ramified branching coefficient rc(alpha^beta, kappa): the
+    coefficient of s_kappa in the branching function of (alpha, beta,
+    |kappa|), which is built once and serves every kappa of that size.
+    """
+    alpha, beta, kappa = as_partition(alpha), as_partition(beta), as_partition(kappa)
+    return _branching_function(alpha, beta, sum(kappa)).coefficient(kappa)
 
 
 @dataclass(frozen=True)
@@ -130,6 +151,8 @@ def stable_plethysm(query: StableQuery, max_degree=None) -> CoefficientReport:
     beta = as_partition(query.beta)
     kappa = as_partition(query.kappa)
     m, n = query.m, query.n
+    if m < 0 or n < 0:
+        raise DomainError(f"stable requires m >= 0 and n >= 0, got m = {m}, n = {n}")
     r = sum(kappa)
     try:
         beta_n = pad(beta, n)

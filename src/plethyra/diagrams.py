@@ -13,6 +13,7 @@ import itertools
 from typing import NamedTuple
 
 from plethyra.partitions import (
+    as_partition,
     canonical_set_partition,
     coarsenings,
     is_coarser,
@@ -623,12 +624,10 @@ def dq_dimension_check(r: int, beta) -> tuple:
     V^0_r(0^|beta|).  Formula: sum over kappa of rc(empty^beta, kappa)
     weighted by f^kappa.
     """
-    from plethyra.coefficients import ramified_branching
+    from plethyra.coefficients import _branching_function
 
-    beta = tuple(beta)
+    beta = as_partition(beta)
     diagrammatic = std_tableaux_count(beta) * len(v0_basis(r, 0, sum(beta)))
-    formula = sum(
-        ramified_branching((), beta, kappa) * std_tableaux_count(kappa)
-        for kappa in partitions_of(r)
-    )
+    formula = sum(c * std_tableaux_count(kappa)
+                  for kappa, c in _branching_function((), beta, r).terms.items())
     return diagrammatic, formula

@@ -81,7 +81,9 @@ class SchurPoly:
         out = {}
         for mu, a in self.terms.items():
             for nu, b in other.terms.items():
-                for lam, c in _schur_times_schur(mu, nu).items():
+                # one cache entry per unordered pair, larger factor first
+                pair = (mu, nu) if (sum(mu), mu) >= (sum(nu), nu) else (nu, mu)
+                for lam, c in _schur_times_schur(*pair).items():
                     out[lam] = out.get(lam, 0) + a * b * c
         return SchurPoly(out)
 
@@ -227,17 +229,44 @@ def lr_coefficient(lam, mu, nu) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _schur_times_schur(mu, nu) -> dict:
-    """Expansion of s_mu * s_nu as {lam: c^lam_{mu, nu}}."""
-    if sum(mu) + sum(nu) == 0:
-        return {(): 1}
-    if sum(nu) < sum(mu) or (sum(nu) == sum(mu) and nu < mu):
-        mu, nu = nu, mu  # enumerate over the smaller content
+    """Expansion of s_mu * s_nu as {lam: c^lam_{mu, nu}}.
+
+    lam grows from mu row by row over the shapes an LR filling of lam/mu
+    with content nu can reach: max(mu_i, nu_i) <= lam_i <= mu_i + nu_1,
+    lam_i <= lam_{i-1}, lam_i <= mu_{i - ell(nu)} (a column of lam/mu holds
+    at most ell(nu) distinct letters) and |lam/mu| = |nu|.  Filling costs
+    grow with |nu|, so callers pass the larger factor first.
+    """
+    if not nu:
+        return {mu: 1}
+    rows = len(mu) + len(nu)
+    mu_full = mu + (0,) * len(nu)
+    nu_full = nu + (0,) * len(mu)
+    depth, width = len(nu), nu[0]
     out = {}
-    for lam in partitions_of(sum(mu) + sum(nu)):
-        if _contains(lam, mu):
-            c = lr_coefficient(lam, mu, nu)
-            if c:
-                out[lam] = c
+    lam = []
+
+    def grow(i, left):
+        if left == 0:
+            if all(mu_full[j] >= nu_full[j] for j in range(i, rows)):
+                shape = tuple(lam) + mu[i:]
+                c = _lr_fillings(shape, mu, nu)
+                if c:
+                    out[shape] = c
+            return
+        if i == rows:
+            return
+        top = mu_full[i] + min(left, width)
+        if i:
+            top = min(top, lam[-1])
+        if i >= depth:
+            top = min(top, mu_full[i - depth])
+        for row in range(max(mu_full[i], nu_full[i]), top + 1):
+            lam.append(row)
+            grow(i + 1, left - (row - mu_full[i]))
+            lam.pop()
+
+    grow(0, sum(nu))
     return out
 
 

@@ -166,6 +166,43 @@ def lr_by_characters(lam, mu, nu):
     return int(total)
 
 
+def ramified_branching_by_summands(alpha, beta, kappa):
+    """rc(alpha^beta, kappa) as the sum of <G^alpha_{beta,gamma} H_eps, s_kappa>
+    over every pair (gamma, eps), each product built in full."""
+    from plethyra.coefficients import DomainError
+    from plethyra.partitions import (
+        as_partition,
+        partitions_exact_length,
+        partitions_no_singletons,
+        partitions_of,
+    )
+    from plethyra.symfunc import SchurPoly, g_sym, h_eps
+
+    alpha, beta, kappa = as_partition(alpha), as_partition(beta), as_partition(kappa)
+    r = sum(kappa)
+    a, b = sum(alpha), sum(beta)
+    if r < a * b:
+        raise DomainError(f"rc requires |kappa| >= |alpha|*|beta|: {r} < {a * b}")
+    s_kappa = SchurPoly.schur(kappa)
+    total = 0
+    for p in range(r - a * b + 1):
+        q = r - a * b - p
+        eps_list = partitions_no_singletons(q)
+        if not eps_list:
+            continue
+        if alpha == ():
+            gammas = partitions_exact_length(p, b)
+        else:
+            gammas = [g for g in partitions_of(p) if len(g) <= b]
+        for gamma in gammas:
+            g_poly = g_sym(alpha, beta, gamma)
+            if not g_poly:
+                continue
+            for eps in eps_list:
+                total += (g_poly * h_eps(eps)).inner(s_kappa)
+    return total
+
+
 def brute_cayley_tableaux(m, n, k, r):
     """Enumerate two-row bounded tableaux directly."""
     width = n - k

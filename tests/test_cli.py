@@ -161,9 +161,13 @@ class TestExitCodes:
          "cayley_tableaux_count requires m, n, k >= 0"),
         (["tableaux-oracle", "--m", "2", "--n", "4", "--k", "1", "--r", "-1"],
          "tableaux-oracle requires --r >= 0"),
+        (["stable", "--beta", "[2]", "--m", "-1", "--n", "5", "--kappa", "[1]"],
+         "stable requires m >= 0 and n >= 0"),
+        (["stable", "--beta", "[2]", "--m", "3", "--n", "-7", "--kappa", "[1]"],
+         "stable requires m >= 0 and n >= 0"),
     ], ids=["gf-b", "gf-n", "marked-b", "marked-r", "marked-cap", "rank-d", "rank-r",
             "commute-m", "commute-n", "commute-r", "rc-r", "theta-r", "tableaux-m",
-            "tableaux-n", "tableaux-k", "tableaux-r"])
+            "tableaux-n", "tableaux-k", "tableaux-r", "stable-m", "stable-n"])
     def test_negative_integer_exit_one(self, capsys, argv, precondition):
         code, lines = run_error(capsys, argv)
         assert code == 1

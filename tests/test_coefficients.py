@@ -15,6 +15,7 @@ from plethyra.coefficients import (
     stable_plethysm,
     tightness_check,
     two_row_stable,
+    _branching_function,
 )
 from plethyra.partitions import (
     marked_partitions,
@@ -22,6 +23,7 @@ from plethyra.partitions import (
     partitions_no_singletons,
     partitions_of,
 )
+from oracles import ramified_branching_by_summands
 
 KAPPAS_5 = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
 
@@ -97,6 +99,18 @@ class TestRamifiedBranching:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             ramified_branching((1,), (2, 1), (2,))
+
+    @pytest.mark.parametrize("alpha,beta,top", [
+        ((), (2, 1), 9), ((1,), (2, 1), 8), ((), (1, 1, 1), 8), ((), (3,), 8),
+    ])
+    def test_matches_per_summand_oracle(self, alpha, beta, top):
+        for r in range(sum(alpha) * sum(beta), top + 1):
+            for kappa in partitions_of(r):
+                assert ramified_branching(alpha, beta, kappa) == (
+                    ramified_branching_by_summands(alpha, beta, kappa)), kappa
+
+    def test_branching_cache_is_bounded(self):
+        assert _branching_function.cache_info().maxsize is not None
 
 
 class TestStablePlethysm:

@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plethyra.partitions import partitions_of
+from plethyra.partitions import partitions_of, std_tableaux_count
 from plethyra.symfunc import (
     PowerSumPoly,
     SchurPoly,
+    _schur_times_schur,
     character,
     g_sym,
     generalized_lr,
@@ -20,6 +22,16 @@ from plethyra.symfunc import (
 from oracles import lr_by_characters, monomial_plethysm
 
 s = SchurPoly.schur
+
+
+@st.composite
+def factor_pair(draw):
+    """(mu, nu) with |mu| + |nu| <= 9."""
+    total = draw(st.integers(0, 9))
+    size = draw(st.integers(0, total))
+    return (draw(st.sampled_from(partitions_of(size))),
+            draw(st.sampled_from(partitions_of(total - size))))
+
 
 small_partition = st.lists(st.integers(1, 4), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -127,6 +139,25 @@ class TestSchurProduct:
     @settings(max_examples=30, deadline=None)
     def test_commutative_hypothesis(self, mu, nu):
         assert s(mu) * s(nu) == s(nu) * s(mu)
+
+    @given(factor_pair())
+    @settings(max_examples=100, deadline=None)
+    def test_product_kernel_against_character_oracle(self, pair):
+        """Every nonzero c^lam_{mu,nu} and no zero entry, in either order,
+        with the f^lam-weighted sum counting the induced module's dimension."""
+        mu, nu = pair
+        n = sum(mu) + sum(nu)
+        prod = _schur_times_schur(mu, nu)
+        want = {}
+        for lam in partitions_of(n):
+            c = lr_by_characters(lam, mu, nu)
+            if c:
+                want[lam] = c
+        assert prod == want
+        assert _schur_times_schur(nu, mu) == prod
+        dimension = sum(c * std_tableaux_count(lam) for lam, c in prod.items())
+        assert dimension == (math.comb(n, sum(mu)) * std_tableaux_count(mu)
+                             * std_tableaux_count(nu))
 
 
 class TestCharacters:
