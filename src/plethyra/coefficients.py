@@ -54,10 +54,12 @@ def _check_degree(degree, max_degree):
 
 
 def plethysm_coefficient(nu, mu, lam, max_degree=None) -> int:
-    """Multiplicity of s_lam in s_nu o s_mu, by exact power-sum expansion.
+    """Multiplicity of s_lam in s_nu o s_mu, from the plethysm's integer
+    class function.
 
-    Only one character column is needed: the coefficient is the pairing of
-    the power-sum expansion of the plethysm with chi^lam.
+    The full Schur form is not built: the coefficient is the pairing of the
+    class function with the one character row chi^lam over its support,
+    divided by n! once.
     """
     nu, mu, lam = as_partition(nu), as_partition(mu), as_partition(lam)
     degree = sum(nu) * sum(mu)

@@ -270,7 +270,7 @@ def check_commute(m: int, n: int, r: int, cap: int = DEFAULT_ENTRY_CAP,
 
 
 def _sparse_rank(rows) -> int:
-    """Exact rank of a list of sparse integer row dicts, without fractions.
+    """Exact rank of a list of sparse integer row dicts, with every entry an int.
 
     Incremental echelon form: a row is reduced at its smallest column
     against the pivot row that owns that column, as a*row - b*pivot, and

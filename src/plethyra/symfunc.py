@@ -1,9 +1,11 @@
 """Exact symmetric-function arithmetic in the Schur and power-sum bases.
 
-Schur coefficients are integers; the power-sum basis carries exact
-rationals.  Littlewood-Richardson coefficients come from direct
-lattice-word tableaux enumeration, and basis changes go through
-Murnaghan-Nakayama character values.  All heavy primitives are memoized.
+Everything is an int.  Schur coefficients are integers, and the power-sum
+side holds a symmetric function as its class function rho -> <f, p_rho>,
+which is integral wherever f is Schur-integral; divisions by n! happen once,
+at the end, and are checked to be exact.  Littlewood-Richardson
+coefficients come from direct lattice-word tableaux enumeration, and basis
+changes go through Murnaghan-Nakayama border strips on beta-sets.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict
-from fractions import Fraction
 
 from plethyra.partitions import as_partition, partitions_of
 
@@ -106,52 +107,73 @@ class SchurPoly:
 
 
 class PowerSumPoly:
-    """A rational linear combination of power-sum functions p_rho."""
+    """A symmetric function f held as its class function rho -> <f, p_rho>.
+
+    ``terms`` maps each cycle type rho to z_rho times the coefficient of
+    p_rho in f: the character of the matching S_n-module, so an int wherever
+    f is Schur-integral (for s_lam it is chi^lam).  The constructor takes the
+    coefficients of the p_rho and rejects any whose class value is not an
+    integer.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
+        self.terms = {}
         for rho, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(rho)] = c
-        self.terms = clean
+            rho = tuple(rho)
+            value = c * zee(rho)
+            if value != int(value):
+                raise ValueError(f"class value {value} at {rho} is not an integer")
+            if value:
+                self.terms[rho] = int(value)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for rho, c in other.terms.items():
-            out[rho] = out.get(rho, 0) + c
-        return PowerSumPoly(out)
+    @classmethod
+    def from_values(cls, values) -> "PowerSumPoly":
+        """The symmetric function with class function ``values``."""
+        out = cls.__new__(cls)
+        out.terms = {rho: v for rho, v in values.items() if v}
+        return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSumPoly({r: c * other for r, c in self.terms.items()})
-        out = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                key = tuple(sorted(r1 + r2, reverse=True))
-                out[key] = out.get(key, 0) + c1 * c2
-        return PowerSumPoly(out)
+        """(fg)(rho) = sum over sigma + tau = rho of
+        prod_k C(m_k(rho), m_k(tau)) f(sigma) g(tau), where m_k counts the
+        parts equal to k; only the parts of tau can give a factor other
+        than 1, so tau runs over the smaller support."""
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        factors = [(tau, v, [(k, tau.count(k)) for k in set(tau)]) for tau, v in small.items()]
+        acc = {}
+        for sigma, a in big.items():
+            for tau, b, mults in factors:
+                c = a * b
+                for k, m in mults:
+                    shared = sigma.count(k)
+                    if shared:
+                        c *= math.comb(shared + m, m)
+                key = tuple(sorted(sigma + tau, reverse=True))
+                acc[key] = acc.get(key, 0) + c
+        return PowerSumPoly.from_values(acc)
 
     __rmul__ = __mul__
 
     def schur_coefficient(self, lam) -> int:
-        """<self, s_lam> for self homogeneous of degree |lam|: the pairing
-        with the single character column chi^lam."""
-        total = sum(c * character(lam, rho) for rho, c in self.terms.items())
-        if total.denominator != 1:
-            raise ValueError(
-                f"non-integral Schur coefficient {total} at {lam}; "
-                "arithmetic bug upstream"
-            )
-        return int(total)
+        """<self, s_lam> = (1/n!) sum over rho of (n!/z_rho) self(rho)
+        chi^lam(rho), for self homogeneous of degree n = |lam|: one
+        character row over self's support and one exact division."""
+        lam = tuple(lam)
+        n = sum(lam)
+        weights = _factorial_coefficients(self.terms, n)
+        total = sum(w * chi for w, chi in zip(weights.values(), _character_row(lam, weights)))
+        return _divide_exactly(total, math.factorial(n), "Schur coefficient", lam)
 
     def scale_parts(self, k: int) -> "PowerSumPoly":
-        """Substitute p_j -> p_{jk}, the plethysm by p_k."""
-        return PowerSumPoly(
-            {tuple(sorted((k * part for part in rho), reverse=True)): c
-             for rho, c in self.terms.items()}
+        """Substitute p_j -> p_{jk}, the plethysm by p_k: the class value
+        at k*sigma is k^ell(sigma) times the value at sigma."""
+        return PowerSumPoly.from_values(
+            {tuple(k * part for part in rho): k ** len(rho) * v
+             for rho, v in self.terms.items()}
         )
 
     def __eq__(self, other):
@@ -161,8 +183,32 @@ class PowerSumPoly:
         return bool(self.terms)
 
     def __repr__(self):
-        bits = [f"{c}*p{list(r)}" for r, c in sorted(self.terms.items(), reverse=True)]
+        bits = []
+        for r, v in sorted(self.terms.items(), reverse=True):
+            z = zee(r)
+            g = math.gcd(v, z)
+            c = str(v // g) if z == g else f"{v // g}/{z // g}"
+            bits.append(f"{c}*p{list(r)}")
         return "PowerSumPoly(" + (" + ".join(bits) or "0") + ")"
+
+
+def _factorial_coefficients(values, n) -> dict:
+    """n! times the coefficient of p_rho, (n!/z_rho) f(rho), for each rho of
+    size n in the class function ``values``: all integers."""
+    scale = math.factorial(n)
+    return {rho: scale // zee(rho) * v for rho, v in values.items()}
+
+
+def _divide_exactly(total, scale, what, where) -> int:
+    """total / scale, where the value is known to be an integer."""
+    q, r = divmod(total, scale)
+    if r:
+        g = math.gcd(total, scale)
+        raise ValueError(
+            f"non-integral {what} {total // g}/{scale // g} at {where}; "
+            "arithmetic bug upstream"
+        )
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -295,70 +341,152 @@ def generalized_lr(beta, seq) -> int:
 
 # ---------------------------------------------------------------------------
 # Murnaghan-Nakayama characters and the Schur <-> power-sum transition.
+#
+# A partition lam with ell(lam) <= c is held as its beta-set with c beads,
+# {lam_i + c - i}, packed into the bits of an int.  Adding a border strip of
+# size k moves one bead k places up into an empty place, removing one moves
+# it k places down, and the strip's height is the number of beads passed.
+
+
+def _beads(lam, count: int) -> int:
+    """The beta-set of lam with ``count`` >= ell(lam) beads, as a bitmask."""
+    mask = 0
+    for i in range(count):
+        mask |= 1 << ((lam[i] if i < len(lam) else 0) + count - 1 - i)
+    return mask
+
+
+def _shape(beads: int) -> tuple:
+    """The partition whose beta-set is ``beads``."""
+    places = [i for i in range(beads.bit_length()) if beads >> i & 1]
+    return tuple(x for x in (p - i for i, p in enumerate(places)) if x)[::-1]
+
+
+def _strips(beads: int, k: int) -> list:
+    """Every border strip of size |k| added to (k > 0) or removed from
+    (k < 0) the shape of ``beads``: the pairs (new beads, (-1)^height)."""
+    out = []
+    rest = beads >> max(-k, 0) << max(-k, 0)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        b = low.bit_length() - 1
+        t = b + k
+        if beads >> t & 1:
+            continue
+        lo, hi = (t, b) if k < 0 else (b, t)
+        passed = beads >> (lo + 1) & ((1 << (hi - lo - 1)) - 1)
+        out.append((beads ^ low ^ (1 << t), -1 if passed.bit_count() & 1 else 1))
+    return out
+
+
+def _character_row(lam, rhos) -> list:
+    """[chi^lam(rho) for rho in rhos]: border strips of sizes rho_l, ...,
+    rho_2, rho_1 are removed from lam in turn (Murnaghan-Nakayama), keeping
+    the signed count of each shape left.  The rho are visited in the order
+    of their reversals, so each resumes from the counts of the longest tail
+    it shares with the one before; those counts and the strips already found
+    live for this call only."""
+    lam = tuple(lam)
+    n = sum(lam)
+    rhos = [tuple(rho) for rho in rhos]
+    if any(sum(rho) != n for rho in rhos):
+        raise ValueError("character requires |lam| = |rho|")
+    strips = {}
+    stack = [{_beads(lam, len(lam)): 1}]  # stack[i]: counts after i strips
+    previous = ()
+    empty = (1 << len(lam)) - 1
+    row = {}
+    for parts in sorted({rho[::-1] for rho in rhos}):
+        shared = 0
+        for a, b in zip(parts, previous):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        for k in parts[shared:]:
+            counts = defaultdict(int)
+            for beads, c in stack[-1].items():
+                moves = strips.get((beads, k))
+                if moves is None:
+                    moves = strips[beads, k] = _strips(beads, -k)
+                for new, sign in moves:
+                    counts[new] += sign * c
+            stack.append(counts)
+        previous = parts
+        row[parts] = stack[-1].get(empty, 0)
+    return [row[rho[::-1]] for rho in rhos]
 
 
 @functools.lru_cache(maxsize=None)
 def character(lam, rho) -> int:
     """Symmetric-group character value chi^lam(rho) by border-strip removal."""
-    lam, rho = tuple(lam), tuple(rho)
-    if not lam:
-        return 1 if not rho else 0
-    if sum(lam) != sum(rho):
-        raise ValueError("character requires |lam| = |rho|")
-    k = rho[0]
-    rest = rho[1:]
-    ell = len(lam)
-    beta = tuple(lam[i] + (ell - 1 - i) for i in range(ell))
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_lam = tuple(x - (ell - 1 - i) for i, x in enumerate(new_beta))
-        new_lam = tuple(x for x in new_lam if x > 0)
-        sign = -1 if height % 2 else 1
-        total += sign * character(new_lam, rest)
-    return total
+    return _character_row(lam, (rho,))[0]
 
 
 def zee(rho) -> int:
     """Order of the centralizer of a permutation of cycle type rho."""
     out = 1
-    mult = {}
-    for part in rho:
-        mult[part] = mult.get(part, 0) + 1
-    for k, m in mult.items():
+    for k in set(rho):
+        m = rho.count(k)
         out *= k**m * math.factorial(m)
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _schur_in_powersums(lam) -> PowerSumPoly:
-    n = sum(lam)
-    return PowerSumPoly(
-        {rho: Fraction(character(lam, rho), zee(rho)) for rho in partitions_of(n)}
-    )
+def _horner(coeffs, unit, times) -> dict:
+    """sum of c_rho X_{rho_1} X_{rho_2} ... over the rho in ``coeffs``, for
+    commuting linear maps X_k on dicts, with ``times(d, k)`` = X_k d and
+    ``unit`` the key of 1.  The terms are grouped by their smallest part k,
+    and X_k is applied once per group, to the group's remainders summed
+    recursively: Horner's rule over the parts."""
+    out = defaultdict(int)
+    groups = defaultdict(dict)
+    for rho, c in coeffs.items():
+        if rho:
+            groups[rho[-1]][rho[:-1]] = c
+        else:
+            out[unit] += c
+    for k, group in groups.items():
+        for key, c in times(_horner(group, unit, times), k).items():
+            out[key] += c
+    return out
 
 
 def schur_to_powersum(f: SchurPoly) -> PowerSumPoly:
-    out = PowerSumPoly()
+    """The class function of f: the sum of its Schur terms' character rows."""
+    values = defaultdict(int)
     for lam, c in f.terms.items():
-        out = out + _schur_in_powersums(lam) * c
+        rhos = partitions_of(sum(lam))
+        for rho, chi in zip(rhos, _character_row(lam, rhos)):
+            values[rho] += c * chi
+    return PowerSumPoly.from_values(values)
+
+
+def _add_strips(schur, k) -> dict:
+    """p_k times a Schur form keyed by beads: every k-strip added, signed by
+    its height (Murnaghan-Nakayama)."""
+    out = defaultdict(int)
+    for beads, c in schur.items():
+        if c:
+            for new, sign in _strips(beads, k):
+                out[new] += sign * c
     return out
 
 
 def powersum_to_schur(g: PowerSumPoly) -> SchurPoly:
-    """Inverse transition; requires integral Schur coefficients."""
-    by_degree = defaultdict(PowerSumPoly)
-    for rho, c in g.terms.items():
-        by_degree[sum(rho)].terms[rho] = c
+    """Inverse transition; requires integral Schur coefficients.  Each
+    degree n is converted as n! g = sum (n!/z_rho) g(rho) p_rho, one border
+    strip per part, and divided by n! once."""
+    by_degree = defaultdict(dict)
+    for rho, v in g.terms.items():
+        by_degree[sum(rho)][rho] = v
     out = {}
-    for degree, part in by_degree.items():
-        for lam in partitions_of(degree):
-            out[lam] = part.schur_coefficient(lam)
+    for n, values in by_degree.items():
+        coeffs = _factorial_coefficients(values, n)
+        scale = math.factorial(n)
+        for beads, c in _horner(coeffs, _beads((), n), _add_strips).items():
+            lam = _shape(beads)
+            out[lam] = _divide_exactly(c, scale, "Schur coefficient", lam)
     return SchurPoly(out)
 
 
@@ -375,27 +503,26 @@ def _require_homogeneous(f: SchurPoly, name: str) -> int:
 
 
 def plethysm_powersum(f: SchurPoly, g: SchurPoly) -> PowerSumPoly:
-    """Power-sum expansion of the plethysm f o g (f, g homogeneous)."""
-    _require_homogeneous(f, "left operand")
+    """Power-sum expansion of the plethysm f o g (f, g homogeneous):
+    f o g = (1/n!) sum over rho of n of (n!/z_rho) f(rho) prod_i p_{rho_i} o g,
+    with one exact division at the end."""
+    n = _require_homogeneous(f, "left operand")
     dg = _require_homogeneous(g, "right operand")
-    if dg is None or dg < 1:
+    if dg < 1:
         raise ValueError("plethysm requires deg(g) >= 1")
-    fp = schur_to_powersum(f)
     gp = schur_to_powersum(g)
     scaled = {}
 
-    def g_scaled(k):
+    def times_p_of_g(values, k):
         if k not in scaled:
             scaled[k] = gp.scale_parts(k)
-        return scaled[k]
+        return (PowerSumPoly.from_values(values) * scaled[k]).terms
 
-    acc = PowerSumPoly()
-    for rho, c in fp.terms.items():
-        term = PowerSumPoly({(): Fraction(1)})
-        for part in rho:
-            term = term * g_scaled(part)
-        acc = acc + term * c
-    return acc
+    weights = _factorial_coefficients(schur_to_powersum(f).terms, n)
+    scale = math.factorial(n)
+    return PowerSumPoly.from_values(
+        {sigma: _divide_exactly(total, scale, "class value", sigma)
+         for sigma, total in _horner(weights, (), times_p_of_g).items()})
 
 
 def plethysm(f: SchurPoly, g: SchurPoly) -> SchurPoly:
@@ -404,8 +531,8 @@ def plethysm(f: SchurPoly, g: SchurPoly) -> SchurPoly:
 
 
 class PlethysmExpansion:
-    """s_nu o s_mu, held once: its power-sum expansion, and the Schur form
-    built from that expansion the first time it is asked for."""
+    """s_nu o s_mu, held once: its class function, and the Schur form built
+    from it the first time it is asked for."""
 
     def __init__(self, powersum: PowerSumPoly):
         self.powersum = powersum
@@ -415,7 +542,12 @@ class PlethysmExpansion:
         return powersum_to_schur(self.powersum)
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded so a long-lived process does not grow without limit; the rc-sweep
+# benchmark workload fills 64 entries and `verify --suite acceptance` 156.
+PLETHYSM_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PLETHYSM_CACHE_SIZE)
 def _plethysm_expansion(nu, mu) -> PlethysmExpansion:
     """The one plethysm cache, keyed by (nu, mu)."""
     return PlethysmExpansion(plethysm_powersum(SchurPoly.schur(nu), SchurPoly.schur(mu)))

@@ -166,6 +166,48 @@ def lr_by_characters(lam, mu, nu):
     return int(total)
 
 
+def characters_by_jacobi_trudi(lam):
+    """{rho: chi^lam(rho)} for every rho of |lam|, from the Jacobi-Trudi
+    determinant s_lam = det(h_{lam_i - i + j}), or its dual in the e_a when
+    lam has more rows than columns, multiplied out in class functions: h_a
+    is the trivial character of S_a, e_a the sign character, and
+    (fg)(rho) = sum over sigma + tau = rho of
+    prod_k C(m_k(rho), m_k(sigma)) f(sigma) g(tau).  No border strips."""
+    from itertools import permutations
+
+    from plethyra.partitions import conjugate, partitions_of
+
+    lam = tuple(lam)
+    dual = len(lam) > (lam[0] if lam else 0)
+    rows = conjugate(lam) if dual else lam
+
+    def factor(a):
+        if a < 0:
+            return {}
+        return {rho: (-1) ** (a - len(rho)) if dual else 1 for rho in partitions_of(a)}
+
+    def times(f, g):
+        out = {}
+        for sigma, x in f.items():
+            for tau, y in g.items():
+                rho = tuple(sorted(sigma + tau, reverse=True))
+                weight = 1
+                for k in set(sigma):
+                    weight *= math.comb(rho.count(k), sigma.count(k))
+                out[rho] = out.get(rho, 0) + weight * x * y
+        return out
+
+    total = {}
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+        term = {(): 1}
+        for i, j in enumerate(perm):
+            term = times(term, factor(rows[i] - i + j))
+        for rho, value in term.items():
+            total[rho] = total.get(rho, 0) + (-1) ** inversions * value
+    return {rho: total.get(rho, 0) for rho in partitions_of(sum(lam))}
+
+
 def ramified_branching_by_summands(alpha, beta, kappa):
     """rc(alpha^beta, kappa) as the sum of <G^alpha_{beta,gamma} H_eps, s_kappa>
     over every pair (gamma, eps), each product built in full."""

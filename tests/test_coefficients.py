@@ -76,6 +76,11 @@ class TestPlethysmCoefficient:
         assert expansion == symfunc.plethysm(symfunc.SchurPoly.schur((2, 1)),
                                              symfunc.SchurPoly.schur((2,)))
 
+    def test_expansion_cache_is_bounded(self):
+        from plethyra import symfunc
+
+        assert symfunc._plethysm_expansion.cache_info().maxsize is not None
+
     def test_expansion_degree_guard(self):
         with pytest.raises(DomainError):
             expand_plethysm((10,), (10,), max_degree=60)

@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plethyra.coefficients import expand_plethysm, plethysm_coefficient
 from plethyra.partitions import partitions_of, std_tableaux_count
 from plethyra.symfunc import (
     PowerSumPoly,
     SchurPoly,
+    _character_row,
     _schur_times_schur,
     character,
     g_sym,
@@ -19,7 +21,7 @@ from plethyra.symfunc import (
     schur_to_powersum,
     zee,
 )
-from oracles import lr_by_characters, monomial_plethysm
+from oracles import characters_by_jacobi_trudi, lr_by_characters, monomial_plethysm
 
 s = SchurPoly.schur
 
@@ -33,9 +35,24 @@ def factor_pair(draw):
             draw(st.sampled_from(partitions_of(total - size))))
 
 
+@st.composite
+def plethysm_pair(draw):
+    """(nu, mu) with |mu| >= 1 and |nu| * |mu| <= 12."""
+    dm = draw(st.integers(1, 12))
+    dn = draw(st.integers(0, 12 // dm))
+    return (draw(st.sampled_from(partitions_of(dn))),
+            draw(st.sampled_from(partitions_of(dm))))
+
+
 small_partition = st.lists(st.integers(1, 4), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+def _oracle_nvars(nu, mu):
+    """Variables enough for the monomial oracle to see all of s_nu o s_mu:
+    each s_lam in it sits in s_mu^|nu|, so ell(lam) <= |nu| * ell(mu)."""
+    return min(sum(nu) * sum(mu), sum(nu) * len(mu))
 
 
 def random_poly(rng, degree, max_terms=3):
@@ -176,6 +193,28 @@ class TestCharacters:
             assert total == zee(rho)
 
 
+class TestPowerSumKernels:
+    """The row pairing, the border-strip expansion and the character rows
+    against each other and against Jacobi-Trudi determinants."""
+
+    def test_character_rows_against_jacobi_trudi(self):
+        for n in range(11):
+            rhos = partitions_of(n)
+            for lam in rhos:
+                row = _character_row(lam, rhos)
+                assert row == [character(lam, rho) for rho in rhos], lam
+                oracle = characters_by_jacobi_trudi(lam)
+                assert row == [oracle[rho] for rho in rhos], lam
+
+    @given(plethysm_pair())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_row_pairing_matches_strip_expansion(self, pair):
+        nu, mu = pair
+        expansion = expand_plethysm(nu, mu)
+        for lam in partitions_of(sum(nu) * sum(mu)):
+            assert plethysm_coefficient(nu, mu, lam) == expansion.coefficient(lam), lam
+
+
 class TestBasisTransition:
     def test_p1_is_s1(self):
         assert powersum_to_schur(PowerSumPoly({(1,): 1})) == s((1,))
@@ -245,8 +284,14 @@ class TestPlethysm:
                     continue
                 for nu in partitions_of(dn):
                     for mu in partitions_of(dm):
-                        expected = monomial_plethysm(nu, mu)
+                        expected = monomial_plethysm(nu, mu, nvars=_oracle_nvars(nu, mu))
                         assert plethysm(s(nu), s(mu)).terms == expected, (nu, mu)
+
+    @pytest.mark.parametrize("nu", partitions_of(3))
+    @pytest.mark.parametrize("mu", partitions_of(3))
+    def test_monomial_oracle_three_by_three(self, nu, mu):
+        expected = monomial_plethysm(nu, mu, nvars=_oracle_nvars(nu, mu))
+        assert plethysm(s(nu), s(mu)).terms == expected
 
     def test_positivity_sweep(self):
         for dn in range(1, 13):
