@@ -1,9 +1,8 @@
 """Exact-arithmetic toolkit for plethysm and ramified branching coefficients.
 
-Everything is computed over exact integers and rationals: symmetric
-functions in the Schur and power-sum bases, the partition and ramified
-partition diagram algebras, and desk-scale Schur-Weyl checks on tensor
-space.
+Everything is computed over exact integers: symmetric functions in the
+Schur and power-sum bases, the partition and ramified partition diagram
+algebras, and desk-scale Schur-Weyl checks on tensor space.
 """
 
 from plethyra.partitions import (

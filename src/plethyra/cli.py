@@ -189,11 +189,11 @@ def dispatch(args):
                 {"partition": list(kappa), "coefficient": branching.coefficient(kappa)}
                 for kappa in partitions.partitions_of(args.r)
             ]
-            return report(f"{prefix}kappa|-{args.r})", table, route="stable_formula")
+            return report(f"{prefix}kappa|-{args.r})", table, route="branching_function")
         kappa = parse_partition(args.kappa)
         return report(f"{prefix}{format_partition(kappa)})",
                       coefficients.ramified_branching(alpha, beta, kappa),
-                      route="stable_formula")
+                      route="branching_function")
     if cmd == "stable":
         beta, kappa = parse_partition(args.beta), parse_partition(args.kappa)
         query = coefficients.StableQuery(beta, args.m, args.n, kappa)
@@ -240,7 +240,7 @@ def dispatch(args):
         beta = parse_partition(args.beta)
         diag_dim, formula_dim = diagrams.dq_dimension_check(args.r, beta)
         return report(f"dq-check r={args.r} beta={format_partition(beta)}",
-                      [diag_dim, formula_dim], route="stable_formula",
+                      [diag_dim, formula_dim], route="branching_function",
                       match=diag_dim == formula_dim)
     if cmd == "schur-weyl":
         return dispatch_schur_weyl(args)

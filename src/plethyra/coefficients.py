@@ -4,8 +4,10 @@ closed forms, each with an independently computable route.
 The branching coefficient rc(alpha^beta, kappa) is read from one symmetric
 function per (alpha, beta, r = |kappa|): F = sum over p of G_p * H_q with
 p + q = r - |alpha||beta|, where G_p sums the G^alpha_{beta,gamma} with
-|gamma| = p and H_q sums the h_eps with singleton-free eps of size q.  F does
-not depend on kappa, so it is built once and every kappa of r is read off it.
+|gamma| = p and H_q sums the h_eps with singleton-free eps of size q.  F is
+assembled from class functions (products and sums in the power-sum basis)
+and converted to Schur form once.  It does not depend on kappa, so it is
+built once and every kappa of r is read off it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from plethyra.symfunc import (
     _plethysm_expansion,
     g_sym,
     h_eps,
+    powersum_to_schur,
+    weighted_sum,
 )
 
 DEFAULT_MAX_DEGREE = 60
@@ -76,15 +80,6 @@ def expand_plethysm(nu, mu, max_degree=None) -> SchurPoly:
     return _plethysm_expansion(nu, mu).schur
 
 
-def _summed(polys) -> SchurPoly:
-    """The sum of several SchurPolys, accumulated in one dict."""
-    out = {}
-    for poly in polys:
-        for lam, c in poly.terms.items():
-            out[lam] = out.get(lam, 0) + c
-    return SchurPoly(out)
-
-
 # Bounded so a long-lived process does not grow without limit; 64
 # (alpha, beta, r) triples hold several kappa sweeps at once.
 BRANCHING_CACHE_SIZE = 64
@@ -97,7 +92,8 @@ def _branching_function(alpha, beta, r) -> SchurPoly:
 
     G_p sums G^alpha_{beta,gamma} over gamma of size p (exactly |beta| parts
     when alpha is empty, at most |beta| parts otherwise); H_q sums h_eps
-    over the singleton-free eps of size q.
+    over the singleton-free eps of size q.  F is summed as a class function
+    and converted to Schur form once.
     """
     a, b = sum(alpha), sum(beta)
     if r < a * b:
@@ -111,10 +107,10 @@ def _branching_function(alpha, beta, r) -> SchurPoly:
             gammas = partitions_exact_length(p, b)
         else:
             gammas = [g for g in partitions_of(p) if len(g) <= b]
-        g_p = _summed(g_sym(alpha, beta, gamma) for gamma in gammas)
+        g_p = weighted_sum((1, g_sym(alpha, beta, gamma)) for gamma in gammas)
         if g_p:
-            products.append(g_p * _summed(h_eps(eps) for eps in eps_list))
-    return _summed(products)
+            products.append((1, g_p * weighted_sum((1, h_eps(eps)) for eps in eps_list)))
+    return powersum_to_schur(weighted_sum(products))
 
 
 def ramified_branching(alpha, beta, kappa) -> int:
@@ -137,7 +133,7 @@ class StableQuery:
 @dataclass(frozen=True)
 class CoefficientReport:
     value: int
-    route: str  # brute_force | stable_formula | closed_form | tableaux_oracle
+    route: str  # stable_formula | brute_force
     bounds_met: bool
 
 

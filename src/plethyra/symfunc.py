@@ -6,6 +6,10 @@ which is integral wherever f is Schur-integral; divisions by n! happen once,
 at the end, and are checked to be exact.  Littlewood-Richardson
 coefficients come from direct lattice-word tableaux enumeration, and basis
 changes go through Murnaghan-Nakayama border strips on beta-sets.
+
+The branching functions g_sym and h_eps are class functions, built from the
+plethysms' class functions by products and sums; only the Pieri products
+s_alpha * h_i that feed them are multiplied in the Schur basis.
 """
 
 from __future__ import annotations
@@ -70,15 +74,7 @@ class SchurPoly:
             out[lam] = out.get(lam, 0) + c
         return SchurPoly(out)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) - c
-        return SchurPoly(out)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return SchurPoly({lam: c * other for lam, c in self.terms.items()})
         out = {}
         for mu, a in self.terms.items():
             for nu, b in other.terms.items():
@@ -192,6 +188,15 @@ class PowerSumPoly:
         return "PowerSumPoly(" + (" + ".join(bits) or "0") + ")"
 
 
+def weighted_sum(pairs) -> PowerSumPoly:
+    """The sum of c * f over the (c, f) pairs, f a PowerSumPoly."""
+    acc = defaultdict(int)
+    for c, f in pairs:
+        for rho, v in f.terms.items():
+            acc[rho] += c * v
+    return PowerSumPoly.from_values(acc)
+
+
 def _factorial_coefficients(values, n) -> dict:
     """n! times the coefficient of p_rho, (n!/z_rho) f(rho), for each rho of
     size n in the class function ``values``: all integers."""
@@ -275,44 +280,15 @@ def lr_coefficient(lam, mu, nu) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _schur_times_schur(mu, nu) -> dict:
-    """Expansion of s_mu * s_nu as {lam: c^lam_{mu, nu}}.
-
-    lam grows from mu row by row over the shapes an LR filling of lam/mu
-    with content nu can reach: max(mu_i, nu_i) <= lam_i <= mu_i + nu_1,
-    lam_i <= lam_{i-1}, lam_i <= mu_{i - ell(nu)} (a column of lam/mu holds
-    at most ell(nu) distinct letters) and |lam/mu| = |nu|.  Filling costs
-    grow with |nu|, so callers pass the larger factor first.
-    """
-    if not nu:
-        return {mu: 1}
-    rows = len(mu) + len(nu)
-    mu_full = mu + (0,) * len(nu)
-    nu_full = nu + (0,) * len(mu)
-    depth, width = len(nu), nu[0]
+    """Expansion of s_mu * s_nu as {lam: c^lam_{mu, nu}}, one LR filling
+    count per lam of size |mu| + |nu| containing both.  Filling costs grow
+    with |nu|, so callers pass the larger factor first."""
     out = {}
-    lam = []
-
-    def grow(i, left):
-        if left == 0:
-            if all(mu_full[j] >= nu_full[j] for j in range(i, rows)):
-                shape = tuple(lam) + mu[i:]
-                c = _lr_fillings(shape, mu, nu)
-                if c:
-                    out[shape] = c
-            return
-        if i == rows:
-            return
-        top = mu_full[i] + min(left, width)
-        if i:
-            top = min(top, lam[-1])
-        if i >= depth:
-            top = min(top, mu_full[i - depth])
-        for row in range(max(mu_full[i], nu_full[i]), top + 1):
-            lam.append(row)
-            grow(i + 1, left - (row - mu_full[i]))
-            lam.pop()
-
-    grow(0, sum(nu))
+    for lam in partitions_of(sum(mu) + sum(nu)):
+        if _contains(lam, mu) and _contains(lam, nu):
+            c = _lr_fillings(lam, mu, nu)
+            if c:
+                out[lam] = c
     return out
 
 
@@ -554,22 +530,22 @@ def _plethysm_expansion(nu, mu) -> PlethysmExpansion:
 
 
 @functools.lru_cache(maxsize=None)
-def h_eps(eps) -> SchurPoly:
+def h_eps(eps) -> PowerSumPoly:
     """Product over part sizes j of s_(e_j) o s_(j), where e_j is the
-    multiplicity of j in eps.  Corresponds to the permutation module on
-    set-partitions with block sizes eps.
+    multiplicity of j in eps, as a class function: the permutation
+    character on set-partitions with block sizes eps.
     """
     eps = tuple(eps)
     mult = {}
     for part in eps:
         mult[part] = mult.get(part, 0) + 1
-    out = SchurPoly.one()
+    out = PowerSumPoly({(): 1})
     for j, e in sorted(mult.items()):
-        out = out * _plethysm_expansion((e,), (j,)).schur
+        out = out * _plethysm_expansion((e,), (j,)).powersum
     return out
 
 
-def _compose_on_components(outer, inner: SchurPoly) -> SchurPoly:
+def _compose_on_components(outer, inner: SchurPoly) -> PowerSumPoly:
     """Apply s_outer to each Schur component of ``inner`` separately.
 
     This is composition in the semisimple sense: the inner value is first
@@ -577,10 +553,8 @@ def _compose_on_components(outer, inner: SchurPoly) -> SchurPoly:
     each, which is how the branching tables for a decomposable inner
     module are assembled.
     """
-    out = SchurPoly()
-    for mu, c in inner.terms.items():
-        out = out + _plethysm_expansion(tuple(outer), mu).schur * c
-    return out
+    return weighted_sum((c, _plethysm_expansion(tuple(outer), mu).powersum)
+                        for mu, c in inner.terms.items())
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,8 +564,9 @@ def _pieri(alpha, i) -> SchurPoly:
     return SchurPoly.schur(alpha) * SchurPoly.schur((i,))
 
 
-def g_sym(alpha, beta, gamma) -> SchurPoly:
-    """The branching symmetric function G^alpha_{beta, gamma}.
+def g_sym(alpha, beta, gamma) -> PowerSumPoly:
+    """The branching symmetric function G^alpha_{beta, gamma}, as a class
+    function.
 
     Zero parts of gamma are dropped; for nonempty alpha, gamma carries
     |beta| - ell(gamma) distinguished zero parts.  Returns 0 exactly when
@@ -603,11 +578,11 @@ def g_sym(alpha, beta, gamma) -> SchurPoly:
     b = sum(beta)
     if alpha == ():
         if len(gamma) != b:
-            return SchurPoly()
+            return PowerSumPoly()
         c0 = 0
     else:
         if len(gamma) > b:
-            return SchurPoly()
+            return PowerSumPoly()
         c0 = b - len(gamma)
     mult = {}
     for part in gamma:
@@ -615,25 +590,23 @@ def g_sym(alpha, beta, gamma) -> SchurPoly:
     if c0:
         mult[0] = c0
     sizes = sorted(mult.items(), reverse=True)  # [(i, c_i)] with c_i > 0
-    total = SchurPoly()
     choices = [partitions_of(c) for _, c in sizes]
 
     def descend(idx, seq, acc):
-        nonlocal total
+        """(generalized LR coefficient, product of the factors) per seq."""
         if idx == len(sizes):
             coeff = generalized_lr(beta, tuple(seq))
             if coeff:
-                total = total + acc * coeff
+                yield coeff, acc
             return
         i, _ = sizes[idx]
         for piece in choices[idx]:
+            # i = 0 only for nonempty alpha
             if alpha == ():
-                factor = (_plethysm_expansion(piece, (i,)).schur if i
-                          else SchurPoly.schur(piece))
+                factor = _plethysm_expansion(piece, (i,)).powersum
             else:
                 factor = _compose_on_components(piece, _pieri(alpha, i))
             if factor:
-                descend(idx + 1, seq + [piece], acc * factor)
+                yield from descend(idx + 1, seq + [piece], acc * factor)
 
-    descend(0, [], SchurPoly.one())
-    return total
+    return weighted_sum(descend(0, [], PowerSumPoly({(): 1})))

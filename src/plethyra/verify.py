@@ -127,14 +127,14 @@ def check_generating_functions():
 def check_block_beta_example():
     value = coefficients.ramified_branching((), (3, 3, 3), (3, 3, 3, 2))
     assert value == 4, f"rc(empty^(3,3,3), (3,3,3,2)) = {value}"
-    s_kappa = symfunc.SchurPoly.schur((3, 3, 3, 2))
     summands = [
         ((3,) + (1,) * 8, ()),
         ((2, 2) + (1,) * 7, ()),
         ((1,) * 9, (2,)),
     ]
     contributions = tuple(
-        (symfunc.g_sym((), (3, 3, 3), gamma) * symfunc.h_eps(eps)).inner(s_kappa)
+        (symfunc.g_sym((), (3, 3, 3), gamma) * symfunc.h_eps(eps))
+        .schur_coefficient((3, 3, 3, 2))
         for gamma, eps in summands
     )
     assert contributions == (1, 2, 1), f"contributions {contributions}"

@@ -210,7 +210,9 @@ def characters_by_jacobi_trudi(lam):
 
 def ramified_branching_by_summands(alpha, beta, kappa):
     """rc(alpha^beta, kappa) as the sum of <G^alpha_{beta,gamma} H_eps, s_kappa>
-    over every pair (gamma, eps), each product built in full."""
+    over every pair (gamma, eps): g_sym and h_eps are converted to Schur form
+    and each product is multiplied out by LR coefficients, not in the class
+    functions that assemble F."""
     from plethyra.coefficients import DomainError
     from plethyra.partitions import (
         as_partition,
@@ -218,7 +220,7 @@ def ramified_branching_by_summands(alpha, beta, kappa):
         partitions_no_singletons,
         partitions_of,
     )
-    from plethyra.symfunc import SchurPoly, g_sym, h_eps
+    from plethyra.symfunc import SchurPoly, g_sym, h_eps, powersum_to_schur
 
     alpha, beta, kappa = as_partition(alpha), as_partition(beta), as_partition(kappa)
     r = sum(kappa)
@@ -237,11 +239,11 @@ def ramified_branching_by_summands(alpha, beta, kappa):
         else:
             gammas = [g for g in partitions_of(p) if len(g) <= b]
         for gamma in gammas:
-            g_poly = g_sym(alpha, beta, gamma)
+            g_poly = powersum_to_schur(g_sym(alpha, beta, gamma))
             if not g_poly:
                 continue
             for eps in eps_list:
-                total += (g_poly * h_eps(eps)).inner(s_kappa)
+                total += (g_poly * powersum_to_schur(h_eps(eps))).inner(s_kappa)
     return total
 
 

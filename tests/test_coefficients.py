@@ -23,6 +23,7 @@ from plethyra.partitions import (
     partitions_no_singletons,
     partitions_of,
 )
+from plethyra.symfunc import _schur_times_schur
 from oracles import ramified_branching_by_summands
 
 KAPPAS_5 = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
@@ -117,6 +118,14 @@ class TestRamifiedBranching:
     def test_branching_cache_is_bounded(self):
         assert _branching_function.cache_info().maxsize is not None
 
+    def test_branching_function_multiplies_no_schur_pair(self):
+        """F is assembled from class functions, so building it for an empty
+        alpha leaves the Schur-product cache empty."""
+        _branching_function.cache_clear()
+        _schur_times_schur.cache_clear()
+        _branching_function((), (2, 1), 12)
+        assert _schur_times_schur.cache_info().currsize == 0
+
 
 class TestStablePlethysm:
     def test_stable_route(self):
@@ -183,6 +192,10 @@ class TestClosedForms:
                     assert one_row_kappa_stable(beta, r) == ramified_branching(
                         (), beta, (r,)
                     )
+        for r in range(8, 19):
+            assert one_row_kappa_stable((2, 1), r) == ramified_branching((), (2, 1), (r,))
+        for r in range(8, 15):
+            assert hook_stable(3, r, column=False) == ramified_branching((), (1, 1, 1), (r,))
 
 
 class TestSmallR:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plethyra.coefficients import expand_plethysm, plethysm_coefficient
-from plethyra.partitions import partitions_of, std_tableaux_count
+from plethyra.partitions import partitions_no_singletons, partitions_of, std_tableaux_count
 from plethyra.symfunc import (
     PowerSumPoly,
     SchurPoly,
@@ -307,35 +307,45 @@ class TestPlethysm:
 
 class TestHEps:
     def test_empty(self):
-        assert h_eps(()) == SchurPoly.one()
+        assert powersum_to_schur(h_eps(())) == SchurPoly.one()
 
     def test_single_part(self):
-        assert h_eps((2,)) == s((2,))
-        assert h_eps((3,)) == s((3,))
+        assert powersum_to_schur(h_eps((2,))) == s((2,))
+        assert powersum_to_schur(h_eps((3,))) == s((3,))
 
     def test_two_twos(self):
-        assert h_eps((2, 2)) == SchurPoly({(4,): 1, (2, 2): 1})
+        assert powersum_to_schur(h_eps((2, 2))) == SchurPoly({(4,): 1, (2, 2): 1})
 
     def test_distinct_parts_are_complete_homogeneous(self):
         # with distinct part sizes this is h_eps in the classical sense
-        assert h_eps((3, 2)) == s((3,)) * s((2,))
+        assert powersum_to_schur(h_eps((3, 2))) == s((3,)) * s((2,))
+
+    def test_identity_value_counts_set_partitions(self):
+        """h_eps at (1^q) is the number of set partitions of a q-set with
+        block sizes eps, q! / (prod_i eps_i! * prod_j m_j(eps)!)."""
+        for q in range(13):
+            for eps in partitions_no_singletons(q):
+                blocks = math.prod(math.factorial(part) for part in eps)
+                orders = math.prod(math.factorial(eps.count(j)) for j in set(eps))
+                assert h_eps(eps).terms.get((1,) * q, 0) == (
+                    math.factorial(q) // (blocks * orders)), eps
 
 
 class TestGSym:
     def test_gamma_empty_is_plethysm(self):
         for alpha in [(1,), (2,), (1, 1)]:
             for beta in [(1,), (2,), (2, 1)]:
-                assert g_sym(alpha, beta, ()) == plethysm(s(beta), s(alpha))
+                assert powersum_to_schur(g_sym(alpha, beta, ())) == plethysm(s(beta), s(alpha))
 
     def test_alpha_empty_ones(self):
         for beta in [(2, 1), (3,), (1, 1)]:
             b = sum(beta)
-            assert g_sym((), beta, (1,) * b) == s(beta)
+            assert powersum_to_schur(g_sym((), beta, (1,) * b)) == s(beta)
 
     def test_one_row_beta_gives_h(self):
         for gamma in [(2, 1), (3, 1), (2, 2), (1, 1, 1)]:
             b = len(gamma)
-            assert g_sym((), (b,), gamma) == h_eps(gamma)
+            assert powersum_to_schur(g_sym((), (b,), gamma)) == powersum_to_schur(h_eps(gamma))
 
     def test_zero_conditions(self):
         assert not g_sym((), (2, 1), (2,))          # wrong length for empty alpha
@@ -347,6 +357,6 @@ class TestGSym:
             for beta in [(1,), (2,), (2, 1)]:
                 for p in range(4):
                     for gamma in partitions_of(p):
-                        value = g_sym(alpha, beta, gamma)
+                        value = powersum_to_schur(g_sym(alpha, beta, gamma))
                         if value:
                             assert value.degree() == sum(gamma) + sum(alpha) * sum(beta)
