@@ -285,14 +285,17 @@ def dispatch_schur_weyl(args):
     if args.commute:
         m, n, r = args.commute
         return report(f"commute m={m} n={n} r={r}",
-                      schur_weyl.check_commute(m, n, r, cap=cap))
+                      schur_weyl.check_commute(m, n, r, cap=cap),
+                      route="generator_invariance")
     if args.negative_control:
         m, n, r = args.negative_control
         return report(f"negative-control m={m} n={n} r={r}",
-                      schur_weyl.check_commute(m, n, r, cap=cap, swap_roles=True))
+                      schur_weyl.check_commute(m, n, r, cap=cap, swap_roles=True),
+                      route="generator_invariance")
     if args.rank:
         d, r = args.rank
-        return report(f"rank d={d} r={r}", schur_weyl.faithfulness_rank(d, r, cap=cap))
+        return report(f"rank d={d} r={r}", schur_weyl.faithfulness_rank(d, r, cap=cap),
+                      route="echelon_rank")
     raise DomainError("schur-weyl requires one of --commute, --negative-control, --rank")
 
 

@@ -2,14 +2,19 @@
 
 The symmetric group (or a wreath product subgroup) acts diagonally on the
 left of tensor space; partition diagrams (or ramified diagrams) act on the
-right.  All matrices are sparse with exact integer entries, and the rank
-computation is fraction-free echelon elimination over the integers.
+right.  All matrices are sparse with exact integer entries.  The rank
+computation is fraction-free echelon elimination over the integers, run on
+the distinct columns of the stacked diagram actions (a repeated column
+never changes a rank).  Commutation is checked as invariance of each
+ramified generator's matrix under relabelling both indices by a wreath
+generator, which is what the two matrix products agreeing amounts to.
 Floating point is banned here: rank and commutation claims are theorems.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from math import gcd
 
 from plethyra.diagrams import PartitionDiagram, RamifiedDiagram
@@ -157,6 +162,14 @@ def flatten_index(i: int, j: int, m: int) -> int:
     return (j - 1) * m + i
 
 
+def _role_blocks(rd: RamifiedDiagram, swap_roles: bool):
+    """The blocks that constrain subscripts and those that constrain
+    superscripts: inner and outer, or the other way round."""
+    if swap_roles:
+        return rd.outer.blocks, rd.inner.blocks
+    return rd.inner.blocks, rd.outer.blocks
+
+
 def ramified_action(rd: RamifiedDiagram, m: int, n: int, r: int,
                     cap: int = DEFAULT_ENTRY_CAP,
                     swap_roles: bool = False) -> SparseExactMatrix:
@@ -164,24 +177,24 @@ def ramified_action(rd: RamifiedDiagram, m: int, n: int, r: int,
 
     Row convention, keys (src, dest).  The inner partition constrains
     subscripts (range m) and the outer partition superscripts (range n);
-    indices are flattened through v^j_i = e^((j-1)m+i).  ``swap_roles``
+    indices are flattened through v^j_i = e^((j-1)m+i) (``flatten_index``),
+    as the subscript plus the superscript's offset (j-1)m.  ``swap_roles``
     deliberately exchanges the two rules and serves as a negative control.
     """
     if (rd.r, rd.s) != (r, r):
         raise ValueError("ramified_action needs an (r, r)-ramified diagram")
-    sub_blocks, sup_blocks = rd.inner.blocks, rd.outer.blocks
-    if swap_roles:
-        sub_blocks, sup_blocks = sup_blocks, sub_blocks
+    sub_blocks, sup_blocks = _role_blocks(rd, swap_roles)
     _check_budget(m ** len(sub_blocks) * n ** len(sup_blocks), cap)
     subs = _valuations(sub_blocks, itertools.product(range(1, m + 1), repeat=len(sub_blocks)), r)
-    sups = list(_valuations(sup_blocks,
-                            itertools.product(range(1, n + 1), repeat=len(sup_blocks)), r))
-    entries = {}
+    offsets = [[(j - 1) * m for j in j_of] for j_of in _valuations(
+        sup_blocks, itertools.product(range(1, n + 1), repeat=len(sup_blocks)), r)]
+    out = SparseExactMatrix()
+    rows = out.rows
     for i_of in subs:
-        for j_of in sups:
-            flat = [flatten_index(i, j, m) for i, j in zip(i_of, j_of)]
-            entries[(tuple(flat[:r]), tuple(flat[r:]))] = 1
-    return SparseExactMatrix(entries)
+        for off in offsets:
+            flat = tuple(map(operator.add, i_of, off))
+            rows.setdefault(flat[:r], {})[flat[r:]] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +258,41 @@ def ramified_generators(r: int):
 def check_commute(m: int, n: int, r: int, cap: int = DEFAULT_ENTRY_CAP,
                   swap_roles: bool = False) -> bool:
     """True when every wreath generator action commutes with every ramified
-    generator action on (C^(mn))^(x r), by exact matrix equality."""
+    generator action on (C^(mn))^(x r).
+
+    With P the permutation operator of a wreath generator sigma and B a
+    ramified generator's operator, (PB)[x, z] = B[sigma^-1 x, z] and
+    (BP)[x, z] = B[x, sigma z], so PB = BP exactly when B[sigma x, sigma z]
+    = B[x, z] for all x, z.  Since sigma is a bijection it suffices that
+    every stored entry's image is stored with the same value; the check
+    reads each stored entry once per wreath generator and multiplies no
+    matrices.  The work, (wreath generators) x (stored entries of the
+    ramified generators), is budgeted against ``cap`` before anything is
+    built.
+    """
     if min(m, n, r) < 0:
         raise ValueError(f"check_commute requires m, n, r >= 0: m = {m}, n = {n}, r = {r}")
     d = m * n
     _check_budget(d**r * d, cap)
-    group_mats = [
-        sym_action(wreath_embed(sigmas, pi, m, n), d, r, cap=cap)
-        for sigmas, pi in wreath_generators(m, n)
-    ]
-    algebra_ops = [
-        ramified_action(rd, m, n, r, cap=cap, swap_roles=swap_roles).transpose()
-        for rd in ramified_generators(r)
-    ]
-    for a in group_mats:
-        for b in algebra_ops:
-            if a @ b != b @ a:
-                return False
+    algebra_gens = ramified_generators(r)
+    # n(m-1) base transpositions and n-1 top transpositions
+    group_count = n * max(m - 1, 0) + max(n - 1, 0)
+    stored = sum(m ** len(sub) * n ** len(sup)
+                 for sub, sup in (_role_blocks(rd, swap_roles) for rd in algebra_gens))
+    _check_budget(group_count * stored, cap)
+    # one table of d^r index images per wreath generator; there are fewer
+    # than d generators, so the d^(r+1) check above bounds the tables
+    indices = list(itertools.product(range(1, d + 1), repeat=r))
+    relabels = []
+    for sigmas, pi in wreath_generators(m, n):
+        image = (0,) + wreath_embed(sigmas, pi, m, n)  # 1-based lookup
+        relabels.append({x: tuple(map(image.__getitem__, x)) for x in indices})
+    for rd in algebra_gens:
+        rows = ramified_action(rd, m, n, r, cap=cap, swap_roles=swap_roles).rows
+        for relabel in relabels:
+            for src, row in rows.items():
+                if rows.get(relabel[src]) != {relabel[dest]: val for dest, val in row.items()}:
+                    return False
     return True
 
 
@@ -301,7 +332,13 @@ def _sparse_rank(rows) -> int:
 
 
 def faithfulness_rank(d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> int:
-    """Rank of the span of all (r, r)-diagram actions on (C^d)^(x r)."""
+    """Rank of the span of all (r, r)-diagram actions on (C^d)^(x r).
+
+    One row per diagram.  The columns, keyed by index pairs (src, dest),
+    are grouped by their content, the (row, value) pairs they hold, and
+    each distinct content becomes one integer column: a repeated column
+    never changes a rank.
+    """
     if d < 0 or r < 0:
         raise ValueError(f"faithfulness_rank requires d, r >= 0: d = {d}, r = {r}")
     diagrams = [
@@ -309,8 +346,20 @@ def faithfulness_rank(d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> int:
     ]
     estimate = sum(d ** len(diag.blocks) for diag in diagrams)
     _check_budget(estimate, cap)
-    return _sparse_rank(dict(diagram_action(diag, d, r, cap=cap).entries())
-                        for diag in diagrams)
+    contents = {}  # (src, dest) -> [row, value, row, value, ...]
+    for i, diag in enumerate(diagrams):
+        for src, row in diagram_action(diag, d, r, cap=cap).rows.items():
+            for dest, val in row.items():
+                contents.setdefault((src, dest), []).extend((i, val))
+    columns = {}
+    rows = [{} for _ in diagrams]
+    for content in contents.values():
+        content = tuple(content)
+        if content not in columns:
+            col = columns[content] = len(columns)
+            for i, val in zip(content[::2], content[1::2]):
+                rows[i][col] = val
+    return _sparse_rank(rows)
 
 
 # ---------------------------------------------------------------------------

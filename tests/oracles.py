@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code path it checks: plethysm via raw
 monomial substitution, tableaux by brute enumeration, Moebius by the
-closed product formula, LR coefficients through character sums.
+closed product formula, LR coefficients through character sums,
+commutation by matrix products, ranks by dense elimination.
 """
 
 import math
@@ -303,3 +304,23 @@ def dense_rank(matrix):
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def commute_by_products(m, n, r, swap_roles=False):
+    """check_commute by matrix products: every wreath generator's
+    permutation matrix against every transposed ramified generator matrix,
+    compared as a @ b == b @ a."""
+    from plethyra.schur_weyl import (
+        ramified_action,
+        ramified_generators,
+        sym_action,
+        wreath_embed,
+        wreath_generators,
+    )
+
+    d = m * n
+    group_mats = [sym_action(wreath_embed(sigmas, pi, m, n), d, r)
+                  for sigmas, pi in wreath_generators(m, n)]
+    algebra_ops = [ramified_action(rd, m, n, r, swap_roles=swap_roles).transpose()
+                   for rd in ramified_generators(r)]
+    return all(a @ b == b @ a for a in group_mats for b in algebra_ops)

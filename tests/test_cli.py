@@ -184,6 +184,20 @@ class TestExitCodes:
         code = run(["schur-weyl", "--rank", "6", "3", "--max-entries", "100"])
         assert code == 1
 
+    def test_commute_work_budget(self, capsys):
+        # 199 wreath generators times 80,000 stored entries, although
+        # d^(r+1) = 40,000 is under the default cap
+        code, lines = run_error(capsys, ["schur-weyl", "--commute", "200", "1", "1"])
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "exceeds the cap 1000000" in lines[0]
+        # 29 x 1,800 = 52,200: under the default cap, over a lowered one
+        code, lines = run_error(capsys, ["schur-weyl", "--commute", "30", "1", "1",
+                                         "--max-entries", "50000"])
+        assert code == 1 and len(lines) == 1
+        _, rep = run_json(capsys, ["schur-weyl", "--commute", "30", "1", "1"])
+        assert rep["value"] is True
+
     def test_verify_examples_exit_zero(self, capsys):
         code = run(["verify", "--suite", "examples"])
         out = capsys.readouterr().out

@@ -1,9 +1,11 @@
 import copy
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plethyra import schur_weyl
 from plethyra.diagrams import PartitionDiagram, RamifiedDiagram, compose, ramified_compose
 from plethyra.partitions import bell_number, line_set_partitions
 from plethyra.schur_weyl import (
@@ -25,7 +27,7 @@ from plethyra.schur_weyl import (
     wreath_generators,
 )
 
-from oracles import dense_rank
+from oracles import commute_by_products, dense_rank
 
 
 def all_diagrams(r):
@@ -192,6 +194,40 @@ class TestCommutation:
         with pytest.raises(BudgetError):
             check_commute(3, 3, 5, cap=10**4)
 
+    def test_budget_counts_work(self):
+        # d^(r+1) = 40,000, but 199 generators x 80,000 stored entries
+        with pytest.raises(BudgetError, match="estimated 15920000 "):
+            check_commute(200, 1, 1)
+        with pytest.raises(BudgetError, match="estimated 113664 "):
+            check_commute(2, 2, 5, cap=113663)
+        assert check_commute(2, 2, 5, cap=113664)
+        # with the roles swapped, subscripts range over the outer blocks
+        with pytest.raises(BudgetError, match="estimated 3540 "):
+            check_commute(3, 2, 2, cap=3150)
+        assert not check_commute(3, 2, 2, cap=3150, swap_roles=True)
+        with pytest.raises(BudgetError, match="estimated 3150 "):
+            check_commute(3, 2, 2, cap=3149, swap_roles=True)
+
+    @pytest.mark.parametrize("swap_roles", (False, True))
+    def test_matches_product_oracle(self, swap_roles):
+        for m, n, r in itertools.product(range(1, 4), repeat=3):
+            if (m * n) ** (r + 1) <= 10**5:
+                assert check_commute(m, n, r, swap_roles=swap_roles) == \
+                    commute_by_products(m, n, r, swap_roles=swap_roles), (m, n, r)
+
+    @pytest.mark.parametrize("m,n,r", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+    def test_matches_product_oracle_pairwise(self, monkeypatch, m, n, r):
+        # one wreath generator against one ramified generator at a time, so
+        # that every pair's verdict counts, not only the conjunction
+        for g in wreath_generators(m, n):
+            for rd in ramified_generators(r):
+                monkeypatch.setattr(schur_weyl, "wreath_generators", lambda m, n: [g])
+                monkeypatch.setattr(schur_weyl, "ramified_generators", lambda r: [rd])
+                for swap_roles in (False, True):
+                    assert check_commute(m, n, r, swap_roles=swap_roles) == \
+                        commute_by_products(m, n, r, swap_roles=swap_roles), (g, rd)
+                monkeypatch.undo()
+
     def test_generator_inventory(self):
         kinds = len(ramified_generators(3))
         # s_1, s_2; p_1..p_3 and inner-only versions; p_{12}, p_{23} and outer-only
@@ -218,9 +254,26 @@ class TestFaithfulness:
         with pytest.raises(BudgetError):
             faithfulness_rank(6, 3, cap=10**3)
 
-    @pytest.mark.slow
     def test_rank_six_three(self):
         assert faithfulness_rank(6, 3) == bell_number(6) == 203
+
+    def test_rank_two_four_strands(self):
+        assert faithfulness_rank(2, 4) == 128 == stirling2(8, 1) + stirling2(8, 2)
+
+    @pytest.mark.slow
+    def test_rank_three_four_strands(self):
+        assert faithfulness_rank(3, 4) == 1094 == sum(stirling2(8, k) for k in range(4))
+
+    @pytest.mark.parametrize("d,r", [(d, r) for d in range(1, 5) for r in range(3)]
+                             + [(2, 3)])
+    def test_matches_dense_oracle(self, d, r):
+        # every d^(2r) column of the stacked actions, none grouped
+        cols = list(itertools.product(range(1, d + 1), repeat=2 * r))
+        matrix = []
+        for diag in all_diagrams(r):
+            rows = diagram_action(diag, d, r).rows
+            matrix.append([rows.get(c[:r], {}).get(c[r:], 0) for c in cols])
+        assert faithfulness_rank(d, r) == dense_rank(matrix)
 
 
 def stirling2(n, k):
