@@ -24,7 +24,12 @@ def parse_partition(text: str) -> tuple:
     inner = text.strip("[]()")
     if not inner:
         return ()
-    return partitions.as_partition(int(x) for x in inner.split(","))
+    try:
+        parts = [int(x) for x in inner.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"a partition is written as integers like [3,2,1], got {text!r}") from None
+    return partitions.as_partition(parts)
 
 
 def format_partition(lam) -> str:
@@ -152,7 +157,7 @@ def run(argv=None) -> int:
     return 0
 
 
-def report(query, value, route="closed_form", bounds_met=None, **extra) -> dict:
+def report(query, value, route, bounds_met=None, **extra) -> dict:
     """One result record: the query, its value, the route that computed it,
     whether the stability bounds held, and any command-specific fields."""
     return {"query": query, "value": value, "route": route,
@@ -177,7 +182,7 @@ def dispatch(args):
                        parse_partition(args.nu))
         return report(
             f"c^{format_partition(lam)}_{format_partition(mu)},{format_partition(nu)}",
-            symfunc.lr_coefficient(lam, mu, nu))
+            symfunc.lr_coefficient(lam, mu, nu), route="lr_fillings")
     if cmd == "rc":
         alpha, beta = parse_partition(args.alpha), parse_partition(args.beta)
         prefix = f"rc({format_partition(alpha)}^{format_partition(beta)},"
@@ -214,10 +219,10 @@ def dispatch(args):
             ]
         return report(
             f"marked b={args.b} r={args.r} cap={args.cap} distinct={args.distinct}",
-            len(found), **extra)
+            len(found), route="enumeration", **extra)
     if cmd == "gf":
         return report(f"gf b={args.b} upto={args.n}",
-                      partitions.stable_two_row_gf(args.b, args.n))
+                      partitions.stable_two_row_gf(args.b, args.n), route="closed_form")
     if cmd == "tableaux-oracle":
         if args.r < 0:
             raise DomainError(f"tableaux-oracle requires --r >= 0, got {args.r}")
@@ -231,7 +236,7 @@ def dispatch(args):
     if cmd == "theta":
         elements, below = diagrams.theta_poset(args.r, args.bound)
         return report(
-            f"theta r={args.r}", [list(t) for t in elements],
+            f"theta r={args.r}", [list(t) for t in elements], route="closed_form",
             relations={
                 str(list(t)): sorted(str(list(u)) for u in lows)
                 for t, lows in below.items() if lows
@@ -250,37 +255,48 @@ def dispatch(args):
     raise ValueError(f"unknown command {cmd}")
 
 
+def _one_action(args, command, flags):
+    """Refuse a ``command`` query unless exactly one of its action flags is set."""
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
+    if not given:
+        raise DomainError(f"{command} requires one of {', '.join(flags)}")
+    if len(given) > 1:
+        raise DomainError(f"{command} takes one action flag, got {' and '.join(given)}")
+
+
 def dispatch_diagram(args):
+    _one_action(args, "diagram", ("--compose", "--ramified-compose", "--prop-data",
+                                 "--prop-index", "--orbit-expand"))
     if args.compose:
         d1 = diagrams.PartitionDiagram.parse(args.compose[0])
         d2 = diagrams.PartitionDiagram.parse(args.compose[1])
         sc = diagrams.compose(d1, d2)
         return report(f"compose {d1.format()} * {d2.format()}", sc.diagram.format(),
-                      delta_exponent=sc.exp_out)
+                      route="closed_form", delta_exponent=sc.exp_out)
     if args.ramified_compose:
         r1 = diagrams.RamifiedDiagram.parse(args.ramified_compose[0])
         r2 = diagrams.RamifiedDiagram.parse(args.ramified_compose[1])
         sc = diagrams.ramified_compose(r1, r2)
         return report(f"ramified compose {r1.format()} * {r2.format()}",
-                      sc.diagram.format(),
+                      sc.diagram.format(), route="closed_form",
                       delta_in_exponent=sc.exp_in, delta_out_exponent=sc.exp_out)
     if args.prop_data:
         d = diagrams.PartitionDiagram.parse(args.prop_data)
         count, perm = d.propagating_data()
-        return report(f"prop-data {d.format()}", count, permutation=list(perm))
+        return report(f"prop-data {d.format()}", count, route="closed_form",
+                      permutation=list(perm))
     if args.prop_index:
         rd = diagrams.RamifiedDiagram.parse(args.prop_index)
-        return report(f"prop-index {rd.format()}", list(diagrams.propagating_index(rd)))
-    if args.orbit_expand:
-        d = diagrams.PartitionDiagram.parse(args.orbit_expand)
-        expansion = diagrams.orbit_expand(d)
-        return report(f"orbit-expand {d.format()}",
-                      sorted(x.format() for x in expansion))
-    raise DomainError("diagram requires one of --compose, --ramified-compose, "
-                      "--prop-data, --prop-index, --orbit-expand")
+        return report(f"prop-index {rd.format()}", list(diagrams.propagating_index(rd)),
+                      route="closed_form")
+    d = diagrams.PartitionDiagram.parse(args.orbit_expand)
+    expansion = diagrams.orbit_expand(d)
+    return report(f"orbit-expand {d.format()}",
+                  sorted(x.format() for x in expansion), route="closed_form")
 
 
 def dispatch_schur_weyl(args):
+    _one_action(args, "schur-weyl", ("--commute", "--negative-control", "--rank"))
     cap = args.max_entries
     if args.commute:
         m, n, r = args.commute
@@ -292,11 +308,9 @@ def dispatch_schur_weyl(args):
         return report(f"negative-control m={m} n={n} r={r}",
                       schur_weyl.check_commute(m, n, r, cap=cap, swap_roles=True),
                       route="generator_invariance")
-    if args.rank:
-        d, r = args.rank
-        return report(f"rank d={d} r={r}", schur_weyl.faithfulness_rank(d, r, cap=cap),
-                      route="echelon_rank")
-    raise DomainError("schur-weyl requires one of --commute, --negative-control, --rank")
+    d, r = args.rank
+    return report(f"rank d={d} r={r}", schur_weyl.faithfulness_rank(d, r, cap=cap),
+                  route="echelon_rank")
 
 
 def main() -> None:

@@ -70,14 +70,14 @@ def plethysm_coefficient(nu, mu, lam, max_degree=None) -> int:
     if sum(lam) != degree:
         return 0
     _check_degree(degree, max_degree)
-    return _plethysm_expansion(nu, mu).powersum.schur_coefficient(lam)
+    return _plethysm_expansion(nu, mu).schur_coefficient(lam)
 
 
 def expand_plethysm(nu, mu, max_degree=None) -> SchurPoly:
     """The Schur expansion of s_nu o s_mu, under the same degree ceiling."""
     nu, mu = as_partition(nu), as_partition(mu)
     _check_degree(sum(nu) * sum(mu), max_degree)
-    return _plethysm_expansion(nu, mu).schur
+    return powersum_to_schur(_plethysm_expansion(nu, mu))
 
 
 # Bounded so a long-lived process does not grow without limit; 64

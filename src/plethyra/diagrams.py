@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from plethyra.coefficients import _branching_function
 from plethyra.partitions import (
     as_partition,
     canonical_set_partition,
@@ -66,25 +67,18 @@ class PartitionDiagram:
     @classmethod
     def parse(cls, text: str, r: int | None = None, s: int | None = None):
         """Parse "{1,2,4,2',5'}|{3}|{1'}" with primes marking southern vertices."""
-        groups = []
-        for chunk in text.replace(" ", "").split("|"):
-            chunk = chunk.strip("{}")
-            if not chunk:
-                continue
-            groups.append([v for v in chunk.split(",") if v])
-        north = [int(v) for g in groups for v in g if not v.endswith("'")]
-        south = [int(v[:-1]) for g in groups for v in g if v.endswith("'")]
-        r = max(north, default=0) if r is None else r
-        s = max(south, default=0) if s is None else s
-        blocks = []
-        for g in groups:
-            blocks.append(
-                tuple(
-                    int(v[:-1]) + r if v.endswith("'") else int(v)
-                    for v in g
-                )
-            )
-        return cls(r, s, blocks)
+        try:
+            groups = [[(v.endswith("'"), int(v.removesuffix("'")))
+                       for v in chunk.strip("{}").split(",") if v]
+                      for chunk in text.replace(" ", "").split("|")]
+        except ValueError:
+            raise ValueError("diagram labels are integers, primed for the southern row, "
+                             f"like {{1,2'}}|{{2,1'}}; got {text!r}") from None
+        if r is None:
+            r = max((v for g in groups for south, v in g if not south), default=0)
+        if s is None:
+            s = max((v for g in groups for south, v in g if south), default=0)
+        return cls(r, s, [tuple(v + r if south else v for south, v in g) for g in groups])
 
     # -- presentation --------------------------------------------------
 
@@ -156,56 +150,37 @@ class ScaledDiagram(NamedTuple):
     exp_out: int
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.up = list(range(n))
-
-    def find(self, x):
-        while self.up[x] != x:
-            self.up[x] = self.up[self.up[x]]
-            x = self.up[x]
-        return x
-
-    def union(self, x, y):
-        self.up[self.find(x)] = self.find(y)
-
-
-def _merge(top_blocks, bot_blocks, k, r, s):
-    """Concatenate block structures: top (k, r) over bottom (r, s).
-
-    Vertices 0..k-1 north, k..k+r-1 middle, k+r..k+r+s-1 south.  Returns
-    (result blocks over 1..k+s, number of pure-middle components).
-    """
-    uf = _UnionFind(k + r + s)
-    for block in top_blocks:
-        vs = [v - 1 if v <= k else k + (v - k) - 1 for v in block]
-        for a, b in zip(vs, vs[1:]):
-            uf.union(a, b)
-    for block in bot_blocks:
-        vs = [k + v - 1 if v <= r else k + r + (v - r) - 1 for v in block]
-        for a, b in zip(vs, vs[1:]):
-            uf.union(a, b)
-    comps = {}
-    for v in range(k + r + s):
-        comps.setdefault(uf.find(v), []).append(v)
-    blocks, loops = [], 0
-    for comp in comps.values():
-        outer = [v for v in comp if v < k or v >= k + r]
-        if not outer:
-            loops += 1
-            continue
-        blocks.append(
-            tuple(v + 1 if v < k else k + (v - (k + r)) + 1 for v in outer)
-        )
-    return blocks, loops
-
-
 def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> ScaledDiagram:
-    """Product d1 * d2: concatenate d1 above d2 and remove middle loops."""
+    """Product d1 * d2: stack d1 above d2, join blocks through the middle
+    row and count the components that lie inside it as loops.
+
+    On the vertices 1..k+r+s, with (k, r) = (d1.r, d1.s), d1 keeps its
+    labels and d2's move up by k, so the middle row is k+1..k+r; the
+    southern labels then move down by r.
+    """
     if d1.s != d2.r:
         raise ValueError(f"size mismatch: ({d1.r},{d1.s}) * ({d2.r},{d2.s})")
-    blocks, loops = _merge(d1.blocks, d2.blocks, d1.r, d1.s, d2.s)
-    return ScaledDiagram(PartitionDiagram(d1.r, d2.s, blocks), 0, loops)
+    k, r, s = d1.r, d1.s, d2.s
+    parent = list(range(k + r + s + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for shift, blocks in ((0, d1.blocks), (k, d2.blocks)):
+        for block in blocks:
+            root = find(block[0] + shift)
+            for v in block[1:]:
+                parent[find(v + shift)] = root
+    components = {}
+    for v in range(1, k + r + s + 1):
+        components.setdefault(find(v), []).append(v)
+    # a middle-only component leaves an empty block, which the canonical form drops
+    blocks = [[v if v <= k else v - r for v in comp if v <= k or v > k + r]
+              for comp in components.values()]
+    return ScaledDiagram(PartitionDiagram(k, s, blocks), 0, blocks.count([]))
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +542,24 @@ def type_of(rd: RamifiedDiagram) -> DiagramType:
     )
 
 
+def _v0_choices(r: int, a: int, b: int):
+    """The choices that fix a basis diagram of V^0_r(a^b), in basis order:
+    a set-partition of the r southern vertices, b of its blocks (ordered by
+    minima) as propagating blocks of size >= max(a, 1) with every other
+    block of size >= 2, and a paired vertices in each propagating block."""
+    k = max(a, 1) * b
+    if k > r:
+        raise ValueError(f"v0_basis needs {k} <= r = {r}")
+    for blocks in line_set_partitions(r):
+        for prop_idx in itertools.combinations(range(len(blocks)), b):
+            prop = [blocks[i] for i in prop_idx]
+            rest = [bl for i, bl in enumerate(blocks) if i not in prop_idx]
+            if any(len(bl) < max(a, 1) for bl in prop) or any(len(bl) < 2 for bl in rest):
+                continue
+            for pairing in itertools.product(*(itertools.combinations(bl, a) for bl in prop)):
+                yield prop, pairing, rest
+
+
 def v0_basis(r: int, a: int, b: int) -> list:
     """Canonical basis diagrams of the depth quotient V^0_r(a^b).
 
@@ -574,46 +567,21 @@ def v0_basis(r: int, a: int, b: int) -> list:
     index (a^b), no inner southern pairs, no outer southern singletons,
     identity block permutations.
     """
-    if a == 0:
-        need = b
-    else:
-        need = a * b
-    if need > r:
-        raise ValueError(f"v0_basis needs {need} <= r = {r}")
-    k = b if a == 0 else a * b
+    width = max(a, 1)
+    k = width * b
     out = []
-    for partition in line_set_partitions(r):
-        blocks = list(partition)
-        if len(blocks) < b:
-            continue
-        min_prop_size = max(a, 1)
-        for prop_idx in itertools.combinations(range(len(blocks)), b):
-            prop = [blocks[i] for i in prop_idx]
-            rest = [blocks[i] for i in range(len(blocks)) if i not in prop_idx]
-            if any(len(bl) < min_prop_size for bl in prop):
-                continue
-            if any(len(bl) < 2 for bl in rest):
-                continue
-            prop = sorted(prop, key=lambda bl: bl[0])  # identity outer permutation
-            pair_menus = [itertools.combinations(bl, a) for bl in prop]
-            for pairing in itertools.product(*pair_menus):
-                inner, outer = [], []
-                for j, bl in enumerate(prop):
-                    if a == 0:
-                        norths = [j + 1]
-                    else:
-                        norths = [j * a + i for i in range(1, a + 1)]
-                    outer.append(tuple(norths) + tuple(k + v for v in bl))
-                    paired = sorted(pairing[j])
-                    for north, v in zip(norths, paired):
-                        inner.append((north, k + v))
-                    if a == 0:
-                        inner.append((norths[0],))
-                    inner.extend((k + v,) for v in bl if v not in paired)
-                for bl in rest:
-                    outer.append(tuple(k + v for v in bl))
-                    inner.extend((k + v,) for v in bl)
-                out.append(RamifiedDiagram.from_blocks(k, r, inner, outer))
+    for prop, pairing, rest in _v0_choices(r, a, b):
+        inner, outer = [], []
+        for j, (bl, paired) in enumerate(zip(prop, pairing)):
+            norths = range(j * width + 1, (j + 1) * width + 1)
+            outer.append((*norths, *(k + v for v in bl)))
+            inner.extend((north, k + v) for north, v in zip(norths, paired))
+            inner.extend((north,) for north in norths[a:])
+            inner.extend((k + v,) for v in bl if v not in paired)
+        for bl in rest:
+            outer.append(tuple(k + v for v in bl))
+            inner.extend((k + v,) for v in bl)
+        out.append(RamifiedDiagram.from_blocks(k, r, inner, outer))
     return out
 
 
@@ -621,13 +589,12 @@ def dq_dimension_check(r: int, beta) -> tuple:
     """Diagrammatic vs character-side dimension of the depth quotient.
 
     Diagrammatic: f^beta times the number of basis diagrams of
-    V^0_r(0^|beta|).  Formula: sum over kappa of rc(empty^beta, kappa)
-    weighted by f^kappa.
+    V^0_r(0^|beta|), counted from their choices without building them.
+    Formula: sum over kappa of rc(empty^beta, kappa) weighted by f^kappa.
     """
-    from plethyra.coefficients import _branching_function
-
     beta = as_partition(beta)
-    diagrammatic = std_tableaux_count(beta) * len(v0_basis(r, 0, sum(beta)))
+    basis_size = sum(1 for _ in _v0_choices(r, 0, sum(beta)))
+    diagrammatic = std_tableaux_count(beta) * basis_size
     formula = sum(c * std_tableaux_count(kappa)
                   for kappa, c in _branching_function((), beta, r).terms.items())
     return diagrammatic, formula

@@ -506,27 +506,16 @@ def plethysm(f: SchurPoly, g: SchurPoly) -> SchurPoly:
     return powersum_to_schur(plethysm_powersum(f, g))
 
 
-class PlethysmExpansion:
-    """s_nu o s_mu, held once: its class function, and the Schur form built
-    from it the first time it is asked for."""
-
-    def __init__(self, powersum: PowerSumPoly):
-        self.powersum = powersum
-
-    @functools.cached_property
-    def schur(self) -> SchurPoly:
-        return powersum_to_schur(self.powersum)
-
-
 # Bounded so a long-lived process does not grow without limit; the rc-sweep
 # benchmark workload fills 64 entries and `verify --suite acceptance` 156.
 PLETHYSM_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=PLETHYSM_CACHE_SIZE)
-def _plethysm_expansion(nu, mu) -> PlethysmExpansion:
-    """The one plethysm cache, keyed by (nu, mu)."""
-    return PlethysmExpansion(plethysm_powersum(SchurPoly.schur(nu), SchurPoly.schur(mu)))
+def _plethysm_expansion(nu, mu) -> PowerSumPoly:
+    """The one plethysm cache, keyed by (nu, mu): s_nu o s_mu as a class
+    function."""
+    return plethysm_powersum(SchurPoly.schur(nu), SchurPoly.schur(mu))
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,7 +530,7 @@ def h_eps(eps) -> PowerSumPoly:
         mult[part] = mult.get(part, 0) + 1
     out = PowerSumPoly({(): 1})
     for j, e in sorted(mult.items()):
-        out = out * _plethysm_expansion((e,), (j,)).powersum
+        out = out * _plethysm_expansion((e,), (j,))
     return out
 
 
@@ -553,11 +542,10 @@ def _compose_on_components(outer, inner: SchurPoly) -> PowerSumPoly:
     each, which is how the branching tables for a decomposable inner
     module are assembled.
     """
-    return weighted_sum((c, _plethysm_expansion(tuple(outer), mu).powersum)
+    return weighted_sum((c, _plethysm_expansion(tuple(outer), mu))
                         for mu, c in inner.terms.items())
 
 
-@functools.lru_cache(maxsize=None)
 def _pieri(alpha, i) -> SchurPoly:
     if i == 0:
         return SchurPoly.schur(alpha)
@@ -603,7 +591,7 @@ def g_sym(alpha, beta, gamma) -> PowerSumPoly:
         for piece in choices[idx]:
             # i = 0 only for nonempty alpha
             if alpha == ():
-                factor = _plethysm_expansion(piece, (i,)).powersum
+                factor = _plethysm_expansion(piece, (i,))
             else:
                 factor = _compose_on_components(piece, _pieri(alpha, i))
             if factor:

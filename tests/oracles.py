@@ -324,3 +324,38 @@ def commute_by_products(m, n, r, swap_roles=False):
     algebra_ops = [ramified_action(rd, m, n, r, swap_roles=swap_roles).transpose()
                    for rd in ramified_generators(r)]
     return all(a @ b == b @ a for a in group_mats for b in algebra_ops)
+
+
+def compose_by_search(d1, d2):
+    """compose by depth-first search over labelled vertices: d1 joins its
+    northern vertices ("n", i) and the middle row ("m", j), d2 joins the
+    middle row and its southern vertices ("s", l).  Returns the blocks over
+    1..k+s (("s", l) as k+l), ordered by minima, and the number of
+    components that meet only the middle row."""
+    k, r = d1.r, d1.s
+    adjacent = {}
+    for d, rows in ((d1, ("n", "m")), (d2, ("m", "s"))):
+        for block in d.blocks:
+            labels = [(rows[0], v) if v <= d.r else (rows[1], v - d.r) for v in block]
+            for x in labels:
+                adjacent.setdefault(x, set()).update(labels)
+    vertices = ([("n", i) for i in range(1, k + 1)] + [("m", j) for j in range(1, r + 1)]
+                + [("s", l) for l in range(1, d2.s + 1)])
+    seen, blocks, loops = set(), [], 0
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, component = [start], []
+        while stack:
+            x = stack.pop()
+            component.append(x)
+            for y in adjacent[x] - seen:
+                seen.add(y)
+                stack.append(y)
+        outer = sorted(i if row == "n" else k + i for row, i in component if row != "m")
+        if outer:
+            blocks.append(tuple(outer))
+        else:
+            loops += 1
+    return sorted(blocks), loops

@@ -174,6 +174,23 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert precondition in lines[0]
 
+    @pytest.mark.parametrize("argv,fragments", [
+        (["diagram", "--compose", "{1,1'}", "{1,1'}", "--prop-data", "{1,1'}"],
+         ["takes one action flag", "--compose and --prop-data"]),
+        (["schur-weyl", "--commute", "1", "1", "1", "--rank", "2", "2"],
+         ["takes one action flag", "--commute and --rank"]),
+        (["lr", "--lam", "[3,x]", "--mu", "[2]", "--nu", "[1]"],
+         ["integers like [3,2,1]", "'[3,x]'"]),
+        (["diagram", "--prop-data", "{1,x}"],
+         ["integers, primed for the southern row", "'{1,x}'"]),
+    ], ids=["diagram-two-actions", "schur-weyl-two-actions", "partition-parse",
+            "diagram-parse"])
+    def test_malformed_query_exit_one(self, capsys, argv, fragments):
+        code, lines = run_error(capsys, argv)
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert all(fragment in lines[0] for fragment in fragments)
+
     def test_domain_error_exit_one(self, capsys):
         code = run(["rc", "--alpha", "[1]", "--beta", "[2,1]", "--kappa", "[2]"])
         assert code == 1

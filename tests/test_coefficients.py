@@ -71,9 +71,10 @@ class TestPlethysmCoefficient:
         from plethyra import coefficients, symfunc
 
         assert coefficients._plethysm_expansion is symfunc._plethysm_expansion
-        entry = symfunc._plethysm_expansion((2, 1), (2,))
+        symfunc._plethysm_expansion((2, 1), (2,))
+        hits = symfunc._plethysm_expansion.cache_info().hits
         expansion = expand_plethysm((2, 1), (2,))
-        assert expansion is entry.schur
+        assert symfunc._plethysm_expansion.cache_info().hits == hits + 1
         assert expansion == symfunc.plethysm(symfunc.SchurPoly.schur((2, 1)),
                                              symfunc.SchurPoly.schur((2,)))
 

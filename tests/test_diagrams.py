@@ -28,6 +28,7 @@ from plethyra.diagrams import (
     wreath_diagram,
 )
 from plethyra.partitions import line_set_partitions, std_tableaux_count
+from oracles import compose_by_search
 
 EIGHT_LEFT = "{1,2,4,2',5'}|{3}|{5,6,7,8'}|{8,3',4',6',7'}|{1'}"
 EIGHT_RIGHT = "{1}|{2,1',2'}|{3,4'}|{4,3'}|{5,5',6'}|{6}|{7,8,7',8'}"
@@ -131,6 +132,27 @@ class TestCompose:
             right = compose(d1, right_in.diagram)
             assert left.diagram == right.diagram
             assert left_in.exp_out + left.exp_out == right_in.exp_out + right.exp_out
+
+    def assert_matches_search(self, d1, d2):
+        sc = compose(d1, d2)
+        assert (sc.diagram.r, sc.diagram.s, sc.exp_in) == (d1.r, d2.s, 0)
+        assert (list(sc.diagram.blocks), sc.exp_out) == compose_by_search(d1, d2), (d1, d2)
+
+    def test_matches_search_exhaustive(self):
+        """Every pair with k + r <= 4 and r + s <= 4, rectangular ones included."""
+        for k, r, s in itertools.product(range(5), repeat=3):
+            if k + r <= 4 and r + s <= 4:
+                for d1 in all_diagrams(k, r):
+                    for d2 in all_diagrams(r, s):
+                        self.assert_matches_search(d1, d2)
+
+    def test_matches_search_random(self):
+        rng = random.Random(2024)
+        for _ in range(500):
+            k, r, s = (rng.randint(0, 4) for _ in range(3))
+            d1 = PartitionDiagram(k, r, rng.choice(line_set_partitions(k + r)))
+            d2 = PartitionDiagram(r, s, rng.choice(line_set_partitions(r + s)))
+            self.assert_matches_search(d1, d2)
 
     def test_propagating_count_monotone(self):
         diags = all_diagrams(2)
@@ -472,3 +494,18 @@ class TestDqDimensions:
     def test_consistency_sweep(self, r, beta):
         diag, formula = dq_dimension_check(r, beta)
         assert diag == formula
+
+    @pytest.mark.parametrize("beta", [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)])
+    def test_counts_the_built_basis(self, beta):
+        for r in range(sum(beta), 8):
+            expected = std_tableaux_count(beta) * len(v0_basis(r, 0, sum(beta)))
+            assert dq_dimension_check(r, beta)[0] == expected, r
+
+    def test_builds_no_diagram(self, monkeypatch):
+        def refuse(self, inner, outer):
+            raise AssertionError("dq_dimension_check built a RamifiedDiagram")
+
+        monkeypatch.setattr(RamifiedDiagram, "__init__", refuse)
+        assert dq_dimension_check(7, (2, 1)) == (2352, 2352)
+        with pytest.raises(ValueError, match="v0_basis needs 3 <= r = 2"):
+            dq_dimension_check(2, (2, 1))
