@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain error (the message names the violated
-precondition), 2 verification mismatch in verify mode.
+Exit codes: 0 success, 1 domain or usage error (the message names the
+violated precondition or the usage), 2 verification mismatch in verify mode.
 """
 
 from __future__ import annotations
@@ -57,8 +57,14 @@ def emit(report: dict, fmt: str, elapsed_ms: float):
             print(f"{key}: {report[key]}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise, so that ``run`` reports a usage error on one line, exit 1."""
+        raise ValueError(f"{message}; {' '.join(self.format_usage().split())}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plethyra",
         description="Exact plethysm and ramified branching coefficients",
     )
@@ -69,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", "-f", choices=("text", "json", "csv"),
                         default=None, help="output format")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+                                parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     p = sub.add_parser("plethysm", help="<s_nu o s_mu, s_lam> or the full expansion")
     p.add_argument("--nu", required=True)
@@ -116,11 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
 
     p = sub.add_parser("diagram", help="diagram arithmetic")
-    p.add_argument("--compose", nargs=2, metavar="D")
-    p.add_argument("--ramified-compose", nargs=2, metavar="R")
-    p.add_argument("--prop-data", metavar="D")
-    p.add_argument("--prop-index", metavar="R")
-    p.add_argument("--orbit-expand", metavar="D")
+    action = p.add_mutually_exclusive_group(required=True)
+    action.add_argument("--compose", nargs=2, metavar="D")
+    action.add_argument("--ramified-compose", nargs=2, metavar="R")
+    action.add_argument("--prop-data", metavar="D")
+    action.add_argument("--prop-index", metavar="R")
+    action.add_argument("--orbit-expand", metavar="D")
 
     p = sub.add_parser("theta", help="the poset of propagating indices")
     p.add_argument("--r", type=int, required=True)
@@ -131,9 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
 
     p = sub.add_parser("schur-weyl", help="tensor-space checks")
-    p.add_argument("--commute", nargs=3, type=int, metavar=("M", "N", "R"))
-    p.add_argument("--negative-control", nargs=3, type=int, metavar=("M", "N", "R"))
-    p.add_argument("--rank", nargs=2, type=int, metavar=("D", "R"))
+    action = p.add_mutually_exclusive_group(required=True)
+    action.add_argument("--commute", nargs=3, type=int, metavar=("M", "N", "R"))
+    action.add_argument("--negative-control", nargs=3, type=int, metavar=("M", "N", "R"))
+    action.add_argument("--rank", nargs=2, type=int, metavar=("D", "R"))
     p.add_argument("--max-entries", type=int, default=schur_weyl.DEFAULT_ENTRY_CAP)
 
     p = sub.add_parser("verify", help="run a self-verification suite")
@@ -142,17 +149,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = args.format or args.format_global or "text"
-    start = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        start = time.perf_counter()
         report = dispatch(args)
     except (DomainError, BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command == "verify":
         return report  # already printed line by line
+    fmt = args.format or args.format_global or "text"
     emit(report, fmt, (time.perf_counter() - start) * 1000)
     return 0
 
@@ -255,18 +261,7 @@ def dispatch(args):
     raise ValueError(f"unknown command {cmd}")
 
 
-def _one_action(args, command, flags):
-    """Refuse a ``command`` query unless exactly one of its action flags is set."""
-    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
-    if not given:
-        raise DomainError(f"{command} requires one of {', '.join(flags)}")
-    if len(given) > 1:
-        raise DomainError(f"{command} takes one action flag, got {' and '.join(given)}")
-
-
 def dispatch_diagram(args):
-    _one_action(args, "diagram", ("--compose", "--ramified-compose", "--prop-data",
-                                 "--prop-index", "--orbit-expand"))
     if args.compose:
         d1 = diagrams.PartitionDiagram.parse(args.compose[0])
         d2 = diagrams.PartitionDiagram.parse(args.compose[1])
@@ -296,7 +291,6 @@ def dispatch_diagram(args):
 
 
 def dispatch_schur_weyl(args):
-    _one_action(args, "schur-weyl", ("--commute", "--negative-control", "--rank"))
     cap = args.max_entries
     if args.commute:
         m, n, r = args.commute

@@ -19,7 +19,7 @@ from plethyra.partitions import (
     coarsenings,
     is_coarser,
     line_set_partitions,
-    mobius,
+    mobius_coarsenings,
     partitions_of,
     std_tableaux_count,
 )
@@ -193,10 +193,10 @@ def orbit_expand(d: PartitionDiagram) -> dict:
 
 
 def orbit_collapse(x: PartitionDiagram) -> dict:
-    """Coefficients of x_Lambda in the diagram basis, by Moebius inversion."""
+    """Coefficients of x_Lambda in the diagram basis: mu(x, coarse) on every coarsening."""
     return {
-        coarse: mobius(x.blocks, coarse.blocks)
-        for coarse in x.coarser_diagrams()
+        PartitionDiagram(x.r, x.s, blocks): mu
+        for blocks, mu in mobius_coarsenings(x.blocks)
     }
 
 
@@ -256,12 +256,12 @@ class RamifiedDiagram:
 
     @classmethod
     def parse(cls, text: str):
+        if text.count("@") != 1:
+            raise ValueError("a ramified diagram is written inner@outer with exactly "
+                             f"one @, like {{1,1'}}@{{1,1'}}; got {text!r}")
         inner_text, outer_text = text.split("@")
         inner = PartitionDiagram.parse(inner_text)
-        outer = PartitionDiagram.parse(
-            outer_text, r=inner.r, s=inner.s
-        )
-        return cls(inner, outer)
+        return cls(inner, PartitionDiagram.parse(outer_text, r=inner.r, s=inner.s))
 
     def format(self) -> str:
         return f"{self.inner.format()}@{self.outer.format()}"
@@ -546,16 +546,20 @@ def _v0_choices(r: int, a: int, b: int):
     """The choices that fix a basis diagram of V^0_r(a^b), in basis order:
     a set-partition of the r southern vertices, b of its blocks (ordered by
     minima) as propagating blocks of size >= max(a, 1) with every other
-    block of size >= 2, and a paired vertices in each propagating block."""
+    block of size >= 2, and a paired vertices in each propagating block.
+    Singletons must propagate, so the rest are drawn from blocks of size >= max(a, 2)."""
     k = max(a, 1) * b
     if k > r:
         raise ValueError(f"v0_basis needs {k} <= r = {r}")
     for blocks in line_set_partitions(r):
-        for prop_idx in itertools.combinations(range(len(blocks)), b):
+        singles = [i for i, bl in enumerate(blocks) if len(bl) == 1]
+        if len(singles) > b or (singles and a > 1):
+            continue
+        wide = [i for i, bl in enumerate(blocks) if len(bl) >= max(a, 2)]
+        for extra in itertools.combinations(wide, b - len(singles)):
+            prop_idx = sorted(singles + list(extra))
             prop = [blocks[i] for i in prop_idx]
             rest = [bl for i, bl in enumerate(blocks) if i not in prop_idx]
-            if any(len(bl) < max(a, 1) for bl in prop) or any(len(bl) < 2 for bl in rest):
-                continue
             for pairing in itertools.product(*(itertools.combinations(bl, a) for bl in prop)):
                 yield prop, pairing, rest
 

@@ -255,12 +255,10 @@ def line_set_partitions(q: int) -> tuple:
         return ((),)
     out = []
     for part in line_set_partitions(q - 1):
-        out.append(canonical_set_partition(part + ((q,),)))
-        for i in range(len(part)):
-            blocks = list(part)
-            blocks[i] = blocks[i] + (q,)
-            out.append(canonical_set_partition(blocks))
-    return tuple(sorted(set(out)))
+        # q is the largest vertex, so each extension stays canonical
+        out.append(part + ((q,),))
+        out.extend(part[:i] + (part[i] + (q,),) + part[i + 1:] for i in range(len(part)))
+    return tuple(sorted(out))
 
 
 def is_coarser(fine, coarse) -> bool:
@@ -272,39 +270,42 @@ def is_coarser(fine, coarse) -> bool:
     return all(len({lookup[v] for v in block}) == 1 for block in fine)
 
 
-def coarsenings(part) -> list:
-    """All set-partitions coarser than ``part`` (including itself)."""
-    blocks = list(part)
+def _merge_mobius(sizes) -> int:
+    """mu of merging blocks in groups of the given sizes: the product of
+    (-1)^(k-1) (k-1)! over the groups, k blocks each (Rota 1964)."""
+    return math.prod((-1) ** (k - 1) * math.factorial(k - 1) for k in sizes)
+
+
+def mobius_coarsenings(part) -> list:
+    """Every set-partition coarser than ``part`` (itself included), in canonical
+    form, with mu(part, coarse).  A coarsening merges the blocks of ``part``
+    along a set-partition of their indices; mu is read off its group sizes."""
+    blocks = canonical_set_partition(part)
     out = []
     for grouping in line_set_partitions(len(blocks)):
-        merged = [
-            tuple(sorted(v for i in group for v in blocks[i - 1]))
-            for group in grouping
-        ]
-        out.append(canonical_set_partition(merged))
+        # groups are ordered by their first index, so the merged blocks by minima
+        coarse = tuple(tuple(sorted(v for i in group for v in blocks[i - 1]))
+                       for group in grouping)
+        out.append((coarse, _merge_mobius(map(len, grouping))))
     return out
 
 
-_MOBIUS_CACHE: dict = {}
+def coarsenings(part) -> list:
+    """All set-partitions coarser than ``part`` (including itself)."""
+    return [coarse for coarse, _ in mobius_coarsenings(part)]
 
 
 def mobius(fine, coarse) -> int:
-    """Moebius function of the coarsening order, by recursive inversion."""
-    fine = canonical_set_partition(fine)
-    coarse = canonical_set_partition(coarse)
-    if not is_coarser(fine, coarse):
+    """Moebius function of the coarsening order by the product formula:
+    k blocks of ``fine`` inside one block of ``coarse`` give (-1)^(k-1) (k-1)!."""
+    owner = {v: idx for idx, block in enumerate(coarse) for v in block}
+    owners = [{owner.get(v) for v in block} for block in fine]
+    if sum(map(len, fine)) != len(owner) or any(len(o) != 1 or None in o for o in owners):
         raise ValueError("mobius requires comparable set-partitions")
-    key = (fine, coarse)
-    if key not in _MOBIUS_CACHE:
-        if fine == coarse:
-            _MOBIUS_CACHE[key] = 1
-        else:
-            acc = 0
-            for mid in coarsenings(fine):
-                if mid != coarse and is_coarser(mid, coarse):
-                    acc += mobius(fine, mid)
-            _MOBIUS_CACHE[key] = -acc
-    return _MOBIUS_CACHE[key]
+    inside = [0] * len(coarse)
+    for (idx,) in owners:
+        inside[idx] += 1
+    return _merge_mobius(inside)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Independent oracles used to freeze expected values.
 
 Each oracle deliberately avoids the code path it checks: plethysm via raw
-monomial substitution, tableaux by brute enumeration, Moebius by the
-closed product formula, LR coefficients through character sums,
+monomial substitution, tableaux by brute enumeration, Moebius by
+recursive inversion, LR coefficients through character sums,
 commutation by matrix products, ranks by dense elimination.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -126,22 +127,19 @@ def bell_by_recurrence(n):
     return vals[n]
 
 
-def mobius_closed_form(fine, coarse):
-    """Product formula for the set-partition lattice Moebius function."""
-    lookup = {}
-    for idx, block in enumerate(coarse):
-        for v in block:
-            lookup[v] = idx
-    inside = {}
-    for block in fine:
-        owners = {lookup[v] for v in block}
-        assert len(owners) == 1
-        idx = owners.pop()
-        inside[idx] = inside.get(idx, 0) + 1
-    out = 1
-    for count in inside.values():
-        out *= (-1) ** (count - 1) * math.factorial(count - 1)
-    return out
+@lru_cache(maxsize=None)
+def mobius_by_recursion(fine, coarse):
+    """Moebius function of the coarsening order from its definition:
+    mu(x, x) = 1, and mu(fine, .) sums to zero over every interval
+    [fine, coarse] with fine != coarse.  Arguments in canonical form."""
+    from plethyra.partitions import coarsenings, is_coarser
+
+    if not is_coarser(fine, coarse):
+        raise ValueError("mobius requires comparable set-partitions")
+    if fine == coarse:
+        return 1
+    return -sum(mobius_by_recursion(fine, mid) for mid in coarsenings(fine)
+                if mid != coarse and is_coarser(mid, coarse))
 
 
 def lr_by_characters(lam, mu, nu):
@@ -359,3 +357,21 @@ def compose_by_search(d1, d2):
         else:
             loops += 1
     return sorted(blocks), loops
+
+
+def v0_choices_by_rejection(r, a, b):
+    """The V^0_r(a^b) basis choices of ``diagrams._v0_choices``, by trying
+    every b-subset of blocks and rejecting those of the wrong sizes."""
+    from plethyra.partitions import line_set_partitions
+
+    k = max(a, 1) * b
+    if k > r:
+        raise ValueError(f"v0_basis needs {k} <= r = {r}")
+    for blocks in line_set_partitions(r):
+        for prop_idx in itertools.combinations(range(len(blocks)), b):
+            prop = [blocks[i] for i in prop_idx]
+            rest = [bl for i, bl in enumerate(blocks) if i not in prop_idx]
+            if any(len(bl) < max(a, 1) for bl in prop) or any(len(bl) < 2 for bl in rest):
+                continue
+            for pairing in itertools.product(*(itertools.combinations(bl, a) for bl in prop)):
+                yield prop, pairing, rest

@@ -176,15 +176,32 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,fragments", [
         (["diagram", "--compose", "{1,1'}", "{1,1'}", "--prop-data", "{1,1'}"],
-         ["takes one action flag", "--compose and --prop-data"]),
+         ["argument --prop-data: not allowed with argument --compose",
+          "(--compose D D | --ramified-compose R R | --prop-data D | --prop-index R"]),
         (["schur-weyl", "--commute", "1", "1", "1", "--rank", "2", "2"],
-         ["takes one action flag", "--commute and --rank"]),
+         ["argument --rank: not allowed with argument --commute",
+          "(--commute M N R | --negative-control M N R | --rank D R)"]),
+        (["schur-weyl", "--max-entries", "10"],
+         ["one of the arguments --commute --negative-control --rank is required"]),
         (["lr", "--lam", "[3,x]", "--mu", "[2]", "--nu", "[1]"],
          ["integers like [3,2,1]", "'[3,x]'"]),
         (["diagram", "--prop-data", "{1,x}"],
          ["integers, primed for the southern row", "'{1,x}'"]),
-    ], ids=["diagram-two-actions", "schur-weyl-two-actions", "partition-parse",
-            "diagram-parse"])
+        (["diagram", "--prop-index", "{1,1'}"],
+         ["inner@outer with exactly one @", "\"{1,1'}\""]),
+        (["diagram", "--prop-index", "{1,1'}@{1,1'}@{1,1'}"],
+         ["inner@outer with exactly one @", "\"{1,1'}@{1,1'}@{1,1'}\""]),
+        (["rc", "--beta", "[2,1]", "--kappa", "[5]", "--r", "5"],
+         ["argument --r: not allowed with argument --kappa", "(--kappa KAPPA | --r R)"]),
+        (["rc", "--kappa", "[5]"],
+         ["the following arguments are required: --beta", "usage: plethyra rc",
+          "--beta BETA"]),
+        (["--format", "json"],
+         ["the following arguments are required: command", "usage: plethyra [-h]"]),
+    ], ids=["diagram-two-actions", "schur-weyl-two-actions", "schur-weyl-no-action",
+            "partition-parse",
+            "diagram-parse", "ramified-no-at", "ramified-two-at", "usage-two-targets",
+            "usage-missing-beta", "usage-no-command"])
     def test_malformed_query_exit_one(self, capsys, argv, fragments):
         code, lines = run_error(capsys, argv)
         assert code == 1

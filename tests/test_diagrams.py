@@ -7,6 +7,7 @@ from plethyra.diagrams import (
     DiagramType,
     PartitionDiagram,
     RamifiedDiagram,
+    _v0_choices,
     cell_action,
     compose,
     dq_dimension_check,
@@ -28,7 +29,7 @@ from plethyra.diagrams import (
     wreath_diagram,
 )
 from plethyra.partitions import line_set_partitions, std_tableaux_count
-from oracles import compose_by_search
+from oracles import compose_by_search, v0_choices_by_rejection
 
 EIGHT_LEFT = "{1,2,4,2',5'}|{3}|{5,6,7,8'}|{8,3',4',6',7'}|{1'}"
 EIGHT_RIGHT = "{1}|{2,1',2'}|{3,4'}|{4,3'}|{5,5',6'}|{6}|{7,8,7',8'}"
@@ -476,6 +477,17 @@ class TestDepthStructure:
     def test_size_violation(self):
         with pytest.raises(ValueError):
             v0_basis(3, 2, 2)
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_choices_match_rejection(self, r):
+        for a in range(3):
+            for b in range(r + 1):
+                if max(a, 1) * b > r:
+                    for choices in (_v0_choices, v0_choices_by_rejection):
+                        with pytest.raises(ValueError, match=f"v0_basis needs .* <= r = {r}"):
+                            next(choices(r, a, b))
+                else:
+                    assert list(_v0_choices(r, a, b)) == list(v0_choices_by_rejection(r, a, b))
 
 
 class TestDqDimensions:

@@ -1,9 +1,15 @@
 """The lint step: no module of the package or the tests imports a name it
-never uses.  Standard library only, so it runs wherever the tests run.
+never uses, and no module of the package keeps a module-level cache.
+Standard library only, so it runs wherever the tests run.
 
 An import counts as used when its name is read inside the function (or
 module) that imports it, or, at module level, when ``__all__`` lists it.
 ``from __future__`` imports are skipped.
+
+A module-level cache is a dict, list or set bound at module level that a
+function of the module writes into.  It grows for the life of the process
+and shows its size nowhere; a memo table is an ``lru_cache``, whose
+``cache_info()`` does.
 """
 
 import ast
@@ -12,7 +18,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "plethyra").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "plethyra").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -81,3 +88,97 @@ def test_detects_unused_imports():
         "    import os\n"
         "    return os.sep\n")
     assert unused_imports(tree) == [(2, "os"), (6, "product")]
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+            "remove", "setdefault", "update"}
+
+
+def _containers(tree) -> dict:
+    """name -> line of each module-level binding of a dict, list or set:
+    a display, a comprehension, or a dict(), list() or set() call."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")):
+            out.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def _written(func):
+    """Names that ``func`` writes into: by item assignment or deletion,
+    augmented assignment, or a mutating method call."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.AugAssign):
+            target = node.target
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS:
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            yield target.id
+
+
+def _locals(func) -> set:
+    """Names that ``func`` binds itself, so that they shadow module names."""
+    if isinstance(func, ast.Lambda):
+        return set()
+    args = func.args
+    bound = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg] if a is not None}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Global):
+            bound.difference_update(node.names)
+    return bound
+
+
+def module_caches(tree) -> list:
+    """(line, name) of every module-level dict, list or set that a function
+    of the module writes into."""
+    containers = _containers(tree)
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, FUNCTIONS):
+            found.update(set(_written(func)) - _locals(func))
+    return sorted((containers[name], name) for name in found & containers.keys())
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_level_caches(path):
+    assert module_caches(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_detects_module_level_caches():
+    tree = ast.parse(
+        "import functools\n"
+        "_MEMO: dict = {}\n"
+        "SEEN = set()\n"
+        "TABLE = {'a': 1}\n"
+        "ORDER = []\n"
+        "def f(key):\n"
+        "    if key not in _MEMO:\n"
+        "        _MEMO[key] = key * 2\n"
+        "    (lambda: SEEN.add(key))()\n"
+        "    return _MEMO[key], TABLE['a']\n"
+        "def g():\n"
+        "    ORDER = []\n"
+        "    ORDER.append(1)\n"
+        "    return ORDER\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def h(key):\n"
+        "    return key * 2\n")
+    assert module_caches(tree) == [(2, "_MEMO"), (3, "SEEN")]

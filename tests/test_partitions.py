@@ -14,6 +14,7 @@ from plethyra.partitions import (
     marked_partitions,
     marked_partitions_distinct,
     mobius,
+    mobius_coarsenings,
     pad,
     partition_count_series,
     partitions_exact_length,
@@ -28,7 +29,7 @@ from oracles import (
     brute_cayley_tableaux,
     brute_standard_tableaux,
     count_partitions_brute,
-    mobius_closed_form,
+    mobius_by_recursion,
 )
 
 partition_strategy = st.lists(st.integers(1, 6), max_size=5).map(
@@ -210,13 +211,23 @@ class TestSetPartitions:
     def test_mobius_incomparable_raises(self):
         with pytest.raises(ValueError):
             mobius(((1, 2), (3,)), ((1, 3), (2,)))
+        # different ground sets are not comparable either
+        with pytest.raises(ValueError):
+            mobius(((1,),), ((1, 2),))
+        with pytest.raises(ValueError):
+            mobius(((1,), (2,)), ((1,),))
 
-    @pytest.mark.parametrize("q", range(1, 6))
+    @pytest.mark.parametrize("q", range(1, 7))
     def test_mobius_matches_closed_form(self, q):
-        for coarse in line_set_partitions(q):
-            fine = tuple((v,) for block in coarse for v in block)
-            fine = tuple(sorted(fine))
-            assert mobius(fine, coarse) == mobius_closed_form(fine, coarse)
+        # the package's product formula against the recursive definition,
+        # on every comparable pair
+        parts = line_set_partitions(q)
+        for fine in parts:
+            ups = mobius_coarsenings(fine)
+            assert sorted(coarse for coarse, _ in ups) == [
+                coarse for coarse in parts if is_coarser(fine, coarse)]
+            for coarse, mu in ups:
+                assert mobius(fine, coarse) == mu == mobius_by_recursion(fine, coarse)
 
     @pytest.mark.parametrize("q", range(1, 7))
     def test_zeta_mobius_inversion(self, q):
@@ -245,7 +256,7 @@ class TestSetPartitions:
                 mobius(top, mid) for mid in ups if is_coarser(mid, bottom)
             )
             assert total == (1 if top == bottom else 0)
-            assert mobius(top, bottom) == mobius_closed_form(top, bottom)
+            assert mobius(top, bottom) == mobius_by_recursion(top, bottom)
 
 
 class TestPadding:
