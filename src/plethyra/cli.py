@@ -235,7 +235,7 @@ def dispatch(args):
         upper = partitions.cayley_tableaux_count(args.m, args.n, args.k, args.r)
         lower = partitions.cayley_tableaux_count(args.m, args.n, args.k, args.r - 1)
         return report(f"T(m={args.m},n={args.n},k={args.k},r={args.r})",
-                      upper - lower, route="tableaux_oracle",
+                      upper - lower, route="hook_content",
                       count_r=upper, count_r_minus_1=lower)
     if cmd == "diagram":
         return dispatch_diagram(args)

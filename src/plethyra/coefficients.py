@@ -25,7 +25,8 @@ from plethyra.partitions import (
     partitions_no_singletons,
     partitions_of,
     cayley_tableaux_count,
-    ssyt_weight_sets,
+    hook_content_series,
+    stable_two_row_gf,
 )
 from plethyra.symfunc import (
     SchurPoly,
@@ -178,12 +179,16 @@ def hook_stable(b: int, r: int, column: bool) -> int:
 
 
 def one_row_kappa_stable(beta, r: int) -> int:
-    """Stable value of rc(empty^beta, (r)) via weighted semistandard tableaux."""
+    """Stable value of rc(empty^beta, (r)): semistandard beta-tableaux with
+    entries >= 1 summing to p, times singleton-free partitions of r - p,
+    summed over p, as one convolution of their two series."""
     beta = as_partition(beta)
-    total = 0
-    for p in range(sum(beta), r + 1):
-        total += ssyt_weight_sets(beta, p) * len(partitions_no_singletons(r - p))
-    return total
+    top = r - sum(beta)
+    if top < 0:
+        return 0
+    tableaux = hook_content_series(beta, top)
+    free = stable_two_row_gf(0, top)
+    return sum(t * f for t, f in zip(tableaux, reversed(free)))
 
 
 def _remove_one_box(beta):

@@ -63,8 +63,9 @@ def conjugate(lam: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def partitions_of(n: int, max_part: int | None = None) -> tuple:
-    """All partitions of n, ordered lexicographically descending."""
+def partitions_of(n: int, max_part: int | None = None, min_part: int = 1) -> tuple:
+    """All partitions of n with parts in [min_part, max_part], ordered
+    lexicographically descending."""
     if n < 0:
         return ()
     if max_part is None or max_part > n:
@@ -72,8 +73,8 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple:
     if n == 0:
         return ((),)
     out = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
+    for first in range(max_part, min_part - 1, -1):
+        for rest in partitions_of(n - first, first, min_part):
             out.append((first,) + rest)
     return tuple(out)
 
@@ -97,22 +98,9 @@ def partition_count_series(n: int) -> list:
     return p
 
 
-@functools.lru_cache(maxsize=None)
-def _partitions_min_part(n: int, max_part: int, min_part: int) -> tuple:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(max_part, n), min_part - 1, -1):
-        for rest in _partitions_min_part(n - first, first, min_part):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def partitions_no_singletons(q: int) -> tuple:
     """All partitions of q with every part at least 2; {()} when q = 0."""
-    if q < 0:
-        return ()
-    return _partitions_min_part(q, q, 2)
+    return partitions_of(q, min_part=2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,74 +157,54 @@ def std_tableaux_count(lam: tuple) -> int:
     return math.factorial(n) // den
 
 
-def _ssyt_rows(shape, lower_bounds, budget, max_entry):
-    """Yield fillings of the remaining rows, one weakly increasing row at a time.
+def hook_content_series(lam: tuple, top: int, nvars: int | None = None) -> list:
+    """Coefficients 0..top of s_lam(1, q, q^2, ...) in ``nvars`` variables
+    (infinitely many when None), by the hook-content formula
+    q^n(lam) prod_u (1 - q^(nvars + c(u))) / (1 - q^h(u)) (Stanley, EC2 7.21).
 
-    ``lower_bounds`` holds the strict lower bound for each cell of the next
-    row, coming from the row above.
+    A factor whose exponent exceeds ``top`` is 1 modulo q^(top+1); since
+    h(u) >= lam_i - j, each row visits at most top + 1 cells per factor.
     """
-    if not shape:
-        if budget == 0:
-            yield ()
-        return
-    width = shape[0]
-
-    def rows(pos, prev, used):
-        if pos == width:
-            yield (), used
-            return
-        lo = max(prev, lower_bounds[pos] + 1)
-        for v in range(lo, max_entry + 1):
-            if used + v > budget:
-                break
-            for rest, total in rows(pos + 1, v, used + v):
-                yield (v,) + rest, total
-
-    for row, used in rows(0, 1, 0):
-        for tail in _ssyt_rows(shape[1:], row, budget - used, max_entry):
-            yield (row,) + tail
+    if top < 0 or (nvars is not None and nvars < 0):
+        raise ValueError(
+            f"hook_content_series requires top, nvars >= 0: top = {top}, nvars = {nvars}")
+    series = [0] * (top + 1)
+    shift = sum(i * row for i, row in enumerate(lam))
+    if shift > top or (nvars is not None and len(lam) > nvars):
+        return series
+    series[shift] = 1
+    for i, row in enumerate(lam):
+        if nvars is not None:
+            for j in range(min(row, top - nvars + i + 1)):
+                e = nvars + j - i
+                for t in range(top, e - 1, -1):
+                    series[t] -= series[t - e]
+        for j in range(max(0, row - top), row):
+            h = row - j + sum(1 for below in lam[i + 1:] if below > j)
+            for t in range(h, top + 1):
+                series[t] += series[t - h]
+    return series
 
 
 def ssyt_weight_sets(beta: tuple, p: int) -> int:
     """Number of semistandard beta-tableaux with entries >= 1 summing to p."""
     if p < sum(beta):
         return 0
-    if not beta:
-        return 1 if p == 0 else 0
-    zeros = (0,) * beta[0]
-    return sum(1 for _ in _ssyt_rows(beta, zeros, p, p))
-
-
-@functools.lru_cache(maxsize=None)
-def _cayley_count(widths: tuple, m: int, prev_top: int, prev_bot: int, remaining: int) -> int:
-    """Column-by-column count of two-row SSYT with entries in {0..m}."""
-    if remaining < 0:
-        return 0
-    if not widths:
-        return 1 if remaining == 0 else 0
-    two_cells = widths[0]
-    total = 0
-    for top in range(prev_top, m + 1):
-        if two_cells:
-            for bot in range(max(prev_bot, top + 1), m + 1):
-                total += _cayley_count(widths[1:], m, top, bot, remaining - top - bot)
-        else:
-            total += _cayley_count(widths[1:], m, top, prev_bot, remaining - top)
-    return total
+    return hook_content_series(beta, p - sum(beta))[-1]
 
 
 def cayley_tableaux_count(m: int, n: int, k: int, r: int) -> int:
     """Count semistandard (n-k, k)-tableaux, entries in {0..m}, entry sum r
-    (0 for r < 0)."""
+    (0 for r < 0 or r > mn)."""
     if min(m, n, k) < 0:
         raise ValueError(
             f"cayley_tableaux_count requires m, n, k >= 0: m = {m}, n = {n}, k = {k}")
     if n - k < k:
         raise ValueError(f"need n - k >= k, got n - k = {n - k} < k = {k}")
-    if r < 0:
+    if r < 0 or r > m * n:
         return 0
-    widths = tuple(1 if j < k else 0 for j in range(n - k))
-    return _cayley_count(widths, m, 0, 0, r)
+    shape = tuple(part for part in (n - k, k) if part)
+    return hook_content_series(shape, r, m + 1)[r]
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +230,12 @@ def line_set_partitions(q: int) -> tuple:
 
 
 def is_coarser(fine, coarse) -> bool:
-    """True when every block of ``fine`` is contained in a block of ``coarse``."""
-    lookup = {}
-    for idx, block in enumerate(coarse):
-        for v in block:
-            lookup[v] = idx
-    return all(len({lookup[v] for v in block}) == 1 for block in fine)
+    """True when ``fine`` and ``coarse`` have one ground set and every block
+    of ``fine`` is contained in a block of ``coarse``."""
+    owner = {v: idx for idx, block in enumerate(coarse) for v in block}
+    if {v for block in fine for v in block} != owner.keys():
+        return False
+    return all(len({owner[v] for v in block}) == 1 for block in fine)
 
 
 def _merge_mobius(sizes) -> int:
@@ -298,13 +266,12 @@ def coarsenings(part) -> list:
 def mobius(fine, coarse) -> int:
     """Moebius function of the coarsening order by the product formula:
     k blocks of ``fine`` inside one block of ``coarse`` give (-1)^(k-1) (k-1)!."""
-    owner = {v: idx for idx, block in enumerate(coarse) for v in block}
-    owners = [{owner.get(v) for v in block} for block in fine]
-    if sum(map(len, fine)) != len(owner) or any(len(o) != 1 or None in o for o in owners):
+    if not is_coarser(fine, coarse):
         raise ValueError("mobius requires comparable set-partitions")
+    owner = {v: idx for idx, block in enumerate(coarse) for v in block}
     inside = [0] * len(coarse)
-    for (idx,) in owners:
-        inside[idx] += 1
+    for block in fine:
+        inside[owner[block[0]]] += 1
     return _merge_mobius(inside)
 
 

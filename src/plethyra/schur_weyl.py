@@ -18,7 +18,7 @@ import operator
 from math import gcd
 
 from plethyra.diagrams import PartitionDiagram, RamifiedDiagram
-from plethyra.partitions import canonical_set_partition, line_set_partitions
+from plethyra.partitions import canonical_set_partition, is_coarser, line_set_partitions
 
 DEFAULT_ENTRY_CAP = 10**6
 
@@ -386,8 +386,6 @@ def minimal_r_tuple(r_part, s_part) -> tuple:
     """Left-to-right minimal subscripts realizing the ramified value
     type (R, S): a position copies its earlier R-partner, otherwise takes
     the least value unused by earlier R-classes inside its S-block."""
-    from plethyra.partitions import is_coarser
-
     if not is_coarser(r_part, s_part):
         raise ValueError("minimal_r_tuple requires R to refine S")
     r_lookup = {}

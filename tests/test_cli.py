@@ -97,6 +97,20 @@ class TestSubcommands:
             "tableaux-oracle", "--m", "3", "--n", "8", "--k", "3", "--r", "5",
         ])
         assert code == 0 and report["count_r"] == 5
+        code, report = run_json(capsys, [
+            "tableaux-oracle", "--m", "3", "--n", "8", "--k", "3", "--r", "1000000000000",
+        ])
+        assert code == 0 and report["value"] == 0 == report["count_r"]
+
+    @pytest.mark.parametrize("m,n", [("60", "100"), ("1000000000", "1000000000")])
+    def test_tableaux_oracle_large(self, capsys, m, n):
+        # the counts are read off a series truncated at r, whatever m and n
+        code, report = run_json(capsys, [
+            "tableaux-oracle", "--m", m, "--n", n, "--k", "3", "--r", "40",
+        ])
+        assert code == 0
+        assert (report["count_r"], report["count_r_minus_1"], report["value"]) == (
+            726058, 583644, 142414)
 
     def test_diagram_compose(self, capsys):
         code, report = run_json(capsys, [

@@ -180,6 +180,8 @@ class TestClosedForms:
     def test_one_row_kappa(self):
         assert one_row_kappa_stable((2, 1), 5) == 2
         assert one_row_kappa_stable((), 6) == len(partitions_no_singletons(6))
+        assert one_row_kappa_stable((2, 1), 2) == 0
+        assert one_row_kappa_stable((3, 3, 3), 40) == 62379
 
     def test_one_row_kappa_hook_reduction(self):
         for b in range(1, 5):

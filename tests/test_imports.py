@@ -10,6 +10,9 @@ A module-level cache is a dict, list or set bound at module level that a
 function of the module writes into.  It grows for the life of the process
 and shows its size nowhere; a memo table is an ``lru_cache``, whose
 ``cache_info()`` does.
+
+An unbounded cache is ``functools.cache`` or ``lru_cache(maxsize=None)``.
+The package keeps a fixed list of them, which may shrink but not grow.
 """
 
 import ast
@@ -182,3 +185,74 @@ def test_detects_module_level_caches():
         "def h(key):\n"
         "    return key * 2\n")
     assert module_caches(tree) == [(2, "_MEMO"), (3, "SEEN")]
+
+
+# The package functions allowed an unbounded cache; remove a name once its
+# cache is bounded, never add one.
+UNBOUNDED_CACHES = {"partitions_of", "partitions_exact_length", "line_set_partitions",
+                    "lr_coefficient", "_schur_times_schur", "generalized_lr", "character",
+                    "h_eps"}
+
+
+def _tail(node):
+    """``f`` for ``f`` and for ``module.f``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def unbounded_caches(tree) -> list:
+    """(line, name) of every function decorated with ``cache`` or with
+    ``lru_cache(maxsize=None)``; a maxsize named by a module-level constant
+    is read through it."""
+    constants = {t.id: node.value.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_none(node):
+        if isinstance(node, ast.Name):
+            return node.id in constants and constants[node.id] is None
+        return isinstance(node, ast.Constant) and node.value is None
+
+    def unbounded(deco):
+        if not isinstance(deco, ast.Call):
+            return _tail(deco) == "cache"
+        sizes = [*deco.args[:1], *(kw.value for kw in deco.keywords if kw.arg == "maxsize")]
+        return _tail(deco.func) == "lru_cache" and any(map(is_none, sizes))
+
+    return sorted((func.lineno, func.name) for func in ast.walk(tree)
+                  if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(map(unbounded, func.decorator_list)))
+
+
+def test_unbounded_caches_only_shrink():
+    found = {name for path in PACKAGE
+             for _, name in unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found <= UNBOUNDED_CACHES
+
+
+def test_detects_unbounded_caches():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "SIZE = None\n"
+        "BOUND = 64\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(x): return x\n"
+        "@lru_cache(None)\n"
+        "def b(x): return x\n"
+        "@functools.cache\n"
+        "def c(x): return x\n"
+        "@cache\n"
+        "def d(x): return x\n"
+        "@functools.lru_cache(maxsize=SIZE)\n"
+        "def e(x): return x\n"
+        "@functools.lru_cache(maxsize=BOUND)\n"
+        "def f(x): return x\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def g(x): return x\n"
+        "@functools.lru_cache\n"
+        "def h(x): return x\n"
+        "@functools.lru_cache()\n"
+        "def i(x): return x\n")
+    assert unbounded_caches(tree) == [(6, "a"), (8, "b"), (10, "c"), (12, "d"), (14, "e")]

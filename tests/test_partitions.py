@@ -9,6 +9,7 @@ from plethyra.partitions import (
     cayley_tableaux_count,
     coarsenings,
     conjugate,
+    hook_content_series,
     is_coarser,
     line_set_partitions,
     marked_partitions,
@@ -30,6 +31,7 @@ from oracles import (
     brute_standard_tableaux,
     count_partitions_brute,
     mobius_by_recursion,
+    ssyt_monomials,
 )
 
 partition_strategy = st.lists(st.integers(1, 6), max_size=5).map(
@@ -68,6 +70,11 @@ class TestNoSingletons:
 
     def test_four(self):
         assert set(partitions_no_singletons(4)) == {(4,), (2, 2)}
+
+    @pytest.mark.parametrize("q", range(21))
+    def test_filter_of_all_partitions(self, q):
+        assert partitions_no_singletons(q) == tuple(
+            lam for lam in partitions_of(q) if 1 not in lam)
 
 
 class TestMarkedPartitions:
@@ -162,6 +169,44 @@ class TestSsytWeightSets:
         assert ssyt_weight_sets((), 0) == 1
         assert ssyt_weight_sets((), 3) == 0
 
+    @pytest.mark.parametrize("size", range(5))
+    def test_against_monomial_oracle(self, size):
+        # entries >= 1 summing to p are at most p, so p variables suffice
+        for beta in partitions_of(size):
+            for p in range(11):
+                weights = [sum(i * v for i, v in enumerate(vec, 1))
+                           for vec in ssyt_monomials(beta, p)]
+                assert ssyt_weight_sets(beta, p) == weights.count(p)
+
+
+def _hook_product(lam, nvars):
+    """Number of semistandard lam-tableaux with entries in {1..nvars}:
+    prod_u (nvars + c(u)) / h(u)."""
+    conj = conjugate(lam)
+    num = den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= nvars + j - i
+            den *= row - j + conj[j] - i - 1
+    return num // den
+
+
+class TestHookContentSeries:
+    def test_one_box(self):
+        assert hook_content_series((1,), 4) == [1, 1, 1, 1, 1]
+        assert hook_content_series((1,), 4, 2) == [1, 1, 0, 0, 0]
+
+    def test_too_many_rows_vanish(self):
+        assert hook_content_series((1, 1, 1), 6, 2) == [0] * 7
+        assert hook_content_series((2, 1, 1), 6, 1) == [0] * 7
+        assert hook_content_series((), 3, 0) == [1, 0, 0, 0]
+
+    def test_rejects_negative_arguments(self):
+        with pytest.raises(ValueError):
+            hook_content_series((2, 1), -1)
+        with pytest.raises(ValueError):
+            hook_content_series((2, 1), 3, -1)
+
 
 class TestCayleyTableaux:
     def test_paper_value(self):
@@ -184,10 +229,30 @@ class TestCayleyTableaux:
         with pytest.raises(ValueError):
             cayley_tableaux_count(2, 5, 3, 4)
 
-    @pytest.mark.parametrize("m,n,k", [(2, 5, 2), (3, 6, 2), (2, 6, 3)])
+    @pytest.mark.parametrize("m,n,k", [(2, 5, 2), (3, 6, 2), (2, 6, 3), (3, 5, 0),
+                                       (0, 4, 0), (0, 4, 2), (0, 0, 0)])
     def test_against_brute_enumeration(self, m, n, k):
-        for r in range(m * n + 1):
+        for r in range(-1, m * n + 2):
             assert cayley_tableaux_count(m, n, k, r) == brute_cayley_tableaux(m, n, k, r)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_symmetry_and_total(self, m):
+        # complementing entries (v -> m - v, rotated) maps sum r to mn - r;
+        # the total is the number of tableaux with entries in m + 1 values
+        for n in range(11):
+            for k in range(n // 2 + 1):
+                counts = [cayley_tableaux_count(m, n, k, r) for r in range(m * n + 1)]
+                assert counts == counts[::-1]
+                shape = tuple(part for part in (n - k, k) if part)
+                assert sum(counts) == _hook_product(shape, m + 1)
+
+    def test_large_values_at_once(self):
+        # far beyond any enumeration: the series is truncated at r
+        assert cayley_tableaux_count(60, 100, 3, 40) == 726058
+        assert cayley_tableaux_count(60, 100, 3, 39) == 583644
+        assert cayley_tableaux_count(10**9, 10**9, 3, 40) == 726058
+        assert cayley_tableaux_count(30, 60, 20, 300) == 1529180811680034359951
+        assert cayley_tableaux_count(3, 8, 3, 10**12) == 0
 
 
 class TestSetPartitions:
@@ -207,6 +272,12 @@ class TestSetPartitions:
         fine = ((1,), (2,))
         coarse = ((1, 2),)
         assert mobius(fine, coarse) == -1
+
+    def test_coarser_needs_one_ground_set(self):
+        assert not is_coarser(((1,),), ((1, 2),))
+        assert not is_coarser(((1, 2),), ((1,),))
+        assert not is_coarser(((3,),), ((1,),))
+        assert is_coarser(((1,), (2,)), ((1, 2),))
 
     def test_mobius_incomparable_raises(self):
         with pytest.raises(ValueError):

@@ -328,6 +328,9 @@ class TestValueTypes:
     def test_minimal_tuple_requires_refinement(self):
         with pytest.raises(ValueError):
             minimal_r_tuple(((1, 2),), ((1,), (2,)))
+        # R on a larger ground set than S
+        with pytest.raises(ValueError):
+            minimal_r_tuple(((1, 2),), ((1,),))
 
     def test_minimal_tuple_realizes_type(self):
         rng = random.Random(5)
