@@ -7,6 +7,7 @@ violated precondition or the usage), 2 verification mismatch in verify mode.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -49,9 +50,10 @@ def emit(report: dict, fmt: str, elapsed_ms: float):
         print(json.dumps(report, sort_keys=True))
     elif fmt == "csv":
         keys = sorted(report)
-        print(",".join(keys))
-        print(",".join(json.dumps(report[k]) if isinstance(report[k], (list, dict))
-                       else str(report[k]) for k in keys))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerow(json.dumps(report[k]) if isinstance(report[k], (list, dict))
+                        else str(report[k]) for k in keys)
     else:
         for key in sorted(report):
             print(f"{key}: {report[key]}")
@@ -248,6 +250,8 @@ def dispatch(args):
                 for t, lows in below.items() if lows
             })
     if cmd == "dq-check":
+        if args.r < 0:
+            raise DomainError(f"dq-check requires --r >= 0, got {args.r}")
         beta = parse_partition(args.beta)
         diag_dim, formula_dim = diagrams.dq_dimension_check(args.r, beta)
         return report(f"dq-check r={args.r} beta={format_partition(beta)}",

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from plethyra.partitions import (
     as_partition,
     marked_partitions,
     marked_partitions_distinct,
     pad,
-    partitions_exact_length,
     partitions_no_singletons,
     partitions_of,
     cayley_tableaux_count,
@@ -91,9 +90,9 @@ def _branching_function(alpha, beta, r) -> SchurPoly:
     """F = sum over p of G_p * H_{r - |alpha||beta| - p}, whose coefficient
     of s_kappa is rc(alpha^beta, kappa) for every kappa of size r.
 
-    G_p sums G^alpha_{beta,gamma} over gamma of size p (exactly |beta| parts
-    when alpha is empty, at most |beta| parts otherwise); H_q sums h_eps
-    over the singleton-free eps of size q.  F is summed as a class function
+    G_p sums G^alpha_{beta,gamma} over gamma of size p with at most |beta|
+    parts (g_sym is 0 off its side conditions); H_q sums h_eps over the
+    singleton-free eps of size q.  F is summed as a class function
     and converted to Schur form once.
     """
     a, b = sum(alpha), sum(beta)
@@ -104,11 +103,8 @@ def _branching_function(alpha, beta, r) -> SchurPoly:
         eps_list = partitions_no_singletons(r - a * b - p)
         if not eps_list:
             continue
-        if alpha == ():
-            gammas = partitions_exact_length(p, b)
-        else:
-            gammas = [g for g in partitions_of(p) if len(g) <= b]
-        g_p = weighted_sum((1, g_sym(alpha, beta, gamma)) for gamma in gammas)
+        g_p = weighted_sum((1, g_sym(alpha, beta, gamma))
+                           for gamma in partitions_of(p) if len(gamma) <= b)
         if g_p:
             products.append((1, g_p * weighted_sum((1, h_eps(eps)) for eps in eps_list)))
     return powersum_to_schur(weighted_sum(products))
@@ -123,16 +119,14 @@ def ramified_branching(alpha, beta, kappa) -> int:
     return _branching_function(alpha, beta, sum(kappa)).coefficient(kappa)
 
 
-@dataclass(frozen=True)
-class StableQuery:
+class StableQuery(NamedTuple):
     beta: tuple
     m: int
     n: int
     kappa: tuple
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     value: int
     route: str  # stable_formula | brute_force
     bounds_met: bool
@@ -249,8 +243,7 @@ def cayley_sylvester(b: int, m: int, n: int, r: int) -> int:
     return cayley_tableaux_count(m, n, b, r) - cayley_tableaux_count(m, n, b, r - 1)
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(NamedTuple):
     """Boundary plethysm values against the stable value minus one.
 
     Each populated slot is a pair (brute force value, stable value - 1);

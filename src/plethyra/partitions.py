@@ -103,21 +103,6 @@ def partitions_no_singletons(q: int) -> tuple:
     return partitions_of(q, min_part=2)
 
 
-@functools.lru_cache(maxsize=None)
-def partitions_exact_length(n: int, length: int, cap: int | None = None) -> tuple:
-    """Partitions of n with exactly ``length`` positive parts, first part <= cap."""
-    if length == 0:
-        return ((),) if n == 0 else ()
-    if n < length:
-        return ()
-    top = n - length + 1 if cap is None else min(cap, n - length + 1)
-    out = []
-    for first in range(top, 0, -1):
-        for rest in partitions_exact_length(n - first, length - 1, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def marked_partitions(b: int, r: int, cap: int | None = None) -> list:
     """All b-marked partitions of r: ell(gamma) = b, epsilon singleton-free.
 
@@ -128,7 +113,9 @@ def marked_partitions(b: int, r: int, cap: int | None = None) -> list:
             f"marked_partitions requires b, r, cap >= 0: b = {b}, r = {r}, cap = {cap}")
     out = []
     for p in range(r + 1):
-        for gamma in partitions_exact_length(p, b, cap):
+        for gamma in partitions_of(p, cap):
+            if len(gamma) != b:
+                continue
             for eps in partitions_no_singletons(r - p):
                 if cap is not None and eps and eps[0] > cap:
                     continue

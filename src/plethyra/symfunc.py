@@ -534,21 +534,12 @@ def h_eps(eps) -> PowerSumPoly:
     return out
 
 
-def _compose_on_components(outer, inner: SchurPoly) -> PowerSumPoly:
-    """Apply s_outer to each Schur component of ``inner`` separately.
-
-    This is composition in the semisimple sense: the inner value is first
-    split into its irreducible summands and the outer shape is applied to
-    each, which is how the branching tables for a decomposable inner
-    module are assembled.
-    """
-    return weighted_sum((c, _plethysm_expansion(tuple(outer), mu))
-                        for mu, c in inner.terms.items())
-
-
 def _pieri(alpha, i) -> SchurPoly:
-    if i == 0:
+    """s_alpha * h_i, with no Schur product when either factor is 1."""
+    if not i:
         return SchurPoly.schur(alpha)
+    if not alpha:
+        return SchurPoly.schur((i,))
     return SchurPoly.schur(alpha) * SchurPoly.schur((i,))
 
 
@@ -556,45 +547,39 @@ def g_sym(alpha, beta, gamma) -> PowerSumPoly:
     """The branching symmetric function G^alpha_{beta, gamma}, as a class
     function.
 
-    Zero parts of gamma are dropped; for nonempty alpha, gamma carries
-    |beta| - ell(gamma) distinguished zero parts.  Returns 0 exactly when
-    the side conditions fail: alpha empty with ell(gamma) != |beta|, or
-    alpha nonempty with ell(gamma) > |beta|.
+    Zero parts of gamma are dropped, and gamma carries |beta| - ell(gamma)
+    distinguished zero parts.  Each part size i (zero included) applies its
+    outer piece to every Schur component of s_alpha * h_i separately, the
+    composition in the semisimple sense; for alpha empty that component is
+    h_i alone.  Returns 0 exactly when the side conditions fail:
+    ell(gamma) > |beta|, or zero parts with alpha empty.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     gamma = tuple(x for x in tuple(gamma) if x)
-    b = sum(beta)
-    if alpha == ():
-        if len(gamma) != b:
-            return PowerSumPoly()
-        c0 = 0
-    else:
-        if len(gamma) > b:
-            return PowerSumPoly()
-        c0 = b - len(gamma)
+    zeros = sum(beta) - len(gamma)
+    if zeros < 0 or (zeros and alpha == ()):
+        return PowerSumPoly()
     mult = {}
     for part in gamma:
         mult[part] = mult.get(part, 0) + 1
-    if c0:
-        mult[0] = c0
-    sizes = sorted(mult.items(), reverse=True)  # [(i, c_i)] with c_i > 0
-    choices = [partitions_of(c) for _, c in sizes]
+    if zeros:
+        mult[0] = zeros
+    # per part size i (descending), each piece of c_i with its factor
+    levels = []
+    for i, c in sorted(mult.items(), reverse=True):
+        components = _pieri(alpha, i).terms.items()
+        levels.append([(piece, weighted_sum((k, _plethysm_expansion(piece, mu))
+                                            for mu, k in components))
+                       for piece in partitions_of(c)])
 
     def descend(idx, seq, acc):
         """(generalized LR coefficient, product of the factors) per seq."""
-        if idx == len(sizes):
+        if idx == len(levels):
             coeff = generalized_lr(beta, tuple(seq))
             if coeff:
                 yield coeff, acc
             return
-        i, _ = sizes[idx]
-        for piece in choices[idx]:
-            # i = 0 only for nonempty alpha
-            if alpha == ():
-                factor = _plethysm_expansion(piece, (i,))
-            else:
-                factor = _compose_on_components(piece, _pieri(alpha, i))
-            if factor:
-                yield from descend(idx + 1, seq + [piece], acc * factor)
+        for piece, factor in levels[idx]:
+            yield from descend(idx + 1, seq + [piece], acc * factor)
 
     return weighted_sum(descend(0, [], PowerSumPoly({(): 1})))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from plethyra import coefficients, diagrams, partitions, schur_weyl, symfunc
 
@@ -283,8 +283,7 @@ def check_hooks():
     return "column cases are [r=b]; hook rows match rc up to r = 6"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

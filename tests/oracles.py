@@ -215,7 +215,6 @@ def ramified_branching_by_summands(alpha, beta, kappa):
     from plethyra.coefficients import DomainError
     from plethyra.partitions import (
         as_partition,
-        partitions_exact_length,
         partitions_no_singletons,
         partitions_of,
     )
@@ -233,10 +232,7 @@ def ramified_branching_by_summands(alpha, beta, kappa):
         eps_list = partitions_no_singletons(q)
         if not eps_list:
             continue
-        if alpha == ():
-            gammas = partitions_exact_length(p, b)
-        else:
-            gammas = [g for g in partitions_of(p) if len(g) <= b]
+        gammas = [g for g in partitions_of(p) if len(g) == b or (alpha and len(g) < b)]
         for gamma in gammas:
             g_poly = powersum_to_schur(g_sym(alpha, beta, gamma))
             if not g_poly:

@@ -1,3 +1,6 @@
+import ast
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -129,6 +132,36 @@ class TestSubcommands:
         assert code == 0 and report["value"] is True
 
 
+class TestOutputFormats:
+    """The text and csv renderings of one report carry the JSON record's
+    keys in sorted order, with elapsed_ms among them."""
+
+    ARGV = ["rc", "--r", "3", "--beta", "[1]"]
+    KEYS = ["bounds_met", "elapsed_ms", "query", "route", "value"]
+    TABLE = [{"partition": [3], "coefficient": 2}, {"partition": [2, 1], "coefficient": 1},
+             {"partition": [1, 1, 1], "coefficient": 0}]
+
+    def render(self, capsys, fmt):
+        assert run(self.ARGV + ["--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    def test_csv(self, capsys):
+        header, row = csv.reader(io.StringIO(self.render(capsys, "csv")))
+        assert header == self.KEYS
+        record = dict(zip(header, row))
+        assert json.loads(record["value"]) == self.TABLE
+        assert record["query"] == "rc([]^[1],kappa|-3)"
+        assert (record["bounds_met"], record["route"]) == ("None", "branching_function")
+        assert float(record["elapsed_ms"]) >= 0
+
+    def test_text(self, capsys):
+        record = dict(line.split(": ", 1) for line in self.render(capsys, "text").splitlines())
+        assert list(record) == self.KEYS
+        assert ast.literal_eval(record["value"]) == self.TABLE
+        assert record["query"] == "rc([]^[1],kappa|-3)"
+        assert float(record["elapsed_ms"]) >= 0
+
+
 class TestGolden:
     @pytest.mark.parametrize("entry", GOLDEN, ids=[e["name"] for e in GOLDEN])
     def test_report_as_recorded(self, capsys, entry):
@@ -179,9 +212,10 @@ class TestExitCodes:
          "stable requires m >= 0 and n >= 0"),
         (["stable", "--beta", "[2]", "--m", "3", "--n", "-7", "--kappa", "[1]"],
          "stable requires m >= 0 and n >= 0"),
+        (["dq-check", "--r", "-1", "--beta", "[1]"], "dq-check requires --r >= 0, got -1"),
     ], ids=["gf-b", "gf-n", "marked-b", "marked-r", "marked-cap", "rank-d", "rank-r",
             "commute-m", "commute-n", "commute-r", "rc-r", "theta-r", "tableaux-m",
-            "tableaux-n", "tableaux-k", "tableaux-r", "stable-m", "stable-n"])
+            "tableaux-n", "tableaux-k", "tableaux-r", "stable-m", "stable-n", "dq-check-r"])
     def test_negative_integer_exit_one(self, capsys, argv, precondition):
         code, lines = run_error(capsys, argv)
         assert code == 1

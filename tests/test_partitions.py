@@ -18,7 +18,6 @@ from plethyra.partitions import (
     mobius_coarsenings,
     pad,
     partition_count_series,
-    partitions_exact_length,
     partitions_no_singletons,
     partitions_of,
     ssyt_weight_sets,
@@ -108,6 +107,20 @@ class TestMarkedPartitions:
         assert MarkedPartition((4,), ()) not in capped
         assert MarkedPartition((1,), (3,)) not in capped
         assert MarkedPartition((2,), (2,)) in capped
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3, 4, 5])
+    def test_gammas_are_length_filter(self, cap):
+        """gamma runs over the b-part partitions of p with parts <= cap in
+        the order of partitions_of, once per admissible epsilon of r - p."""
+        for b in range(5):
+            for r in range(13):
+                expected = []
+                for p in range(r + 1):
+                    eps_count = sum(1 for eps in partitions_no_singletons(r - p)
+                                    if cap is None or not eps or eps[0] <= cap)
+                    expected += [gamma for gamma in partitions_of(p, cap) if len(gamma) == b
+                                 for _ in range(eps_count)]
+                assert [mp.gamma for mp in marked_partitions(b, r, cap)] == expected, (b, r)
 
     def test_gf_matches_enumeration(self):
         for b in range(5):
@@ -355,11 +368,6 @@ class TestMisc:
         for n in range(8):
             for lam in partitions_of(n):
                 assert conjugate(conjugate(lam)) == lam
-
-    def test_exact_length(self):
-        assert partitions_exact_length(4, 2) == ((3, 1), (2, 2))
-        assert partitions_exact_length(0, 0) == ((),)
-        assert partitions_exact_length(3, 0) == ()
 
     @given(partition_strategy)
     def test_as_partition_idempotent(self, lam):

@@ -352,6 +352,16 @@ class TestGSym:
         assert not g_sym((1,), (1,), (1, 1))        # too many parts
         assert g_sym((1,), (2, 1), (2,))            # allowed: length below |beta|
 
+    def test_side_conditions(self):
+        """For alpha empty, G is nonzero exactly when ell(gamma) = |beta|;
+        for alpha = (1), exactly when ell(gamma) <= |beta|."""
+        for b in range(5):
+            for beta in partitions_of(b):
+                for p in range(7):
+                    for gamma in partitions_of(p):
+                        assert bool(g_sym((), beta, gamma)) == (len(gamma) == b), (beta, gamma)
+                        assert bool(g_sym((1,), beta, gamma)) == (len(gamma) <= b), (beta, gamma)
+
     def test_degree_formula(self):
         for alpha in [(), (1,), (2,)]:
             for beta in [(1,), (2,), (2, 1)]:
