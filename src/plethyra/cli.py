@@ -296,6 +296,8 @@ def dispatch_diagram(args):
 
 def dispatch_schur_weyl(args):
     cap = args.max_entries
+    if cap < 0:
+        raise DomainError(f"schur-weyl requires --max-entries >= 0, got {cap}")
     if args.commute:
         m, n, r = args.commute
         return report(f"commute m={m} n={n} r={r}",
@@ -308,7 +310,7 @@ def dispatch_schur_weyl(args):
                       route="generator_invariance")
     d, r = args.rank
     return report(f"rank d={d} r={r}", schur_weyl.faithfulness_rank(d, r, cap=cap),
-                  route="echelon_rank")
+                  route="gf2_column_count")
 
 
 def main() -> None:

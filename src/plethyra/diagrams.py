@@ -597,6 +597,8 @@ def dq_dimension_check(r: int, beta) -> tuple:
     Formula: sum over kappa of rc(empty^beta, kappa) weighted by f^kappa.
     """
     beta = as_partition(beta)
+    if sum(beta) > r:
+        raise ValueError(f"dq-check requires |beta| <= r, got |beta| = {sum(beta)}, r = {r}")
     basis_size = sum(1 for _ in _v0_choices(r, 0, sum(beta)))
     diagrammatic = std_tableaux_count(beta) * basis_size
     formula = sum(c * std_tableaux_count(kappa)

@@ -213,9 +213,12 @@ class TestExitCodes:
         (["stable", "--beta", "[2]", "--m", "3", "--n", "-7", "--kappa", "[1]"],
          "stable requires m >= 0 and n >= 0"),
         (["dq-check", "--r", "-1", "--beta", "[1]"], "dq-check requires --r >= 0, got -1"),
+        (["schur-weyl", "--commute", "2", "2", "2", "--max-entries", "-1"],
+         "schur-weyl requires --max-entries >= 0, got -1"),
     ], ids=["gf-b", "gf-n", "marked-b", "marked-r", "marked-cap", "rank-d", "rank-r",
             "commute-m", "commute-n", "commute-r", "rc-r", "theta-r", "tableaux-m",
-            "tableaux-n", "tableaux-k", "tableaux-r", "stable-m", "stable-n", "dq-check-r"])
+            "tableaux-n", "tableaux-k", "tableaux-r", "stable-m", "stable-n", "dq-check-r",
+            "max-entries"])
     def test_negative_integer_exit_one(self, capsys, argv, precondition):
         code, lines = run_error(capsys, argv)
         assert code == 1
@@ -246,10 +249,12 @@ class TestExitCodes:
           "--beta BETA"]),
         (["--format", "json"],
          ["the following arguments are required: command", "usage: plethyra [-h]"]),
+        (["dq-check", "--r", "0", "--beta", "[1]"],
+         ["dq-check requires |beta| <= r, got |beta| = 1, r = 0"]),
     ], ids=["diagram-two-actions", "schur-weyl-two-actions", "schur-weyl-no-action",
             "partition-parse",
             "diagram-parse", "ramified-no-at", "ramified-two-at", "usage-two-targets",
-            "usage-missing-beta", "usage-no-command"])
+            "usage-missing-beta", "usage-no-command", "dq-check-beta-above-r"])
     def test_malformed_query_exit_one(self, capsys, argv, fragments):
         code, lines = run_error(capsys, argv)
         assert code == 1

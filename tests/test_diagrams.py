@@ -519,5 +519,6 @@ class TestDqDimensions:
 
         monkeypatch.setattr(RamifiedDiagram, "__init__", refuse)
         assert dq_dimension_check(7, (2, 1)) == (2352, 2352)
-        with pytest.raises(ValueError, match="v0_basis needs 3 <= r = 2"):
+        with pytest.raises(ValueError,
+                           match=r"dq-check requires \|beta\| <= r, got \|beta\| = 3, r = 2"):
             dq_dimension_check(2, (2, 1))

@@ -1,17 +1,18 @@
-import copy
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plethyra import schur_weyl
+from plethyra.cli import run
 from plethyra.diagrams import PartitionDiagram, RamifiedDiagram, compose, ramified_compose
 from plethyra.partitions import bell_number, line_set_partitions
 from plethyra.schur_weyl import (
     BudgetError,
     SparseExactMatrix,
-    _sparse_rank,
     check_commute,
     diagram_action,
     faithfulness_rank,
@@ -260,7 +261,6 @@ class TestFaithfulness:
     def test_rank_two_four_strands(self):
         assert faithfulness_rank(2, 4) == 128 == stirling2(8, 1) + stirling2(8, 2)
 
-    @pytest.mark.slow
     def test_rank_three_four_strands(self):
         assert faithfulness_rank(3, 4) == 1094 == sum(stirling2(8, k) for k in range(4))
 
@@ -284,27 +284,43 @@ def stirling2(n, k):
 
 
 @st.composite
-def integer_matrices(draw):
-    """Small integer matrices, some rows repeated or summed from others so
-    that rank deficiency is common."""
-    ncols = draw(st.integers(1, 8))
-    row = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row, min_size=1, max_size=6))
-    for _ in range(draw(st.integers(0, 8 - len(rows)))):
-        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
-        summed = draw(st.booleans())
-        rows.append([x + y if summed else x for x, y in zip(rows[i], rows[j])])
-    return rows
+def bitmask_lists(draw):
+    """Small lists of 0/1 vectors of one width, as int bitmasks."""
+    width = draw(st.integers(1, 6))
+    return width, draw(st.lists(st.integers(0, 2**width - 1), max_size=7))
 
 
-class TestSparseRank:
-    @given(integer_matrices())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_dense_oracle(self, matrix):
-        rows = [{col: x for col, x in enumerate(row) if x} for row in matrix]
-        before = copy.deepcopy(rows)
-        assert _sparse_rank(rows) == dense_rank(matrix)
-        assert rows == before
+def bit_rows(vectors, width):
+    """The 0/1 rows of int bitmasks, lowest bit first."""
+    return [[vec >> bit & 1 for bit in range(width)] for vec in vectors]
+
+
+class TestGF2Rank:
+    @given(bitmask_lists())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_span_size_and_dense_bound(self, case):
+        width, vectors = case
+        span = {functools.reduce(operator.xor, subset, 0)
+                for k in range(len(vectors) + 1)
+                for subset in itertools.combinations(vectors, k)}
+        rank = schur_weyl._gf2_rank(vectors)
+        assert len(span) == 2**rank
+        assert rank <= dense_rank(bit_rows(vectors, width))
+
+    def test_gf2_rank_below_rational_rank(self):
+        # the columns {1,2}, {2,3}, {1,3} sum to 0 mod 2 but are independent over Q
+        columns = [0b011, 0b110, 0b101]
+        assert schur_weyl._gf2_rank(columns) == 2
+        assert dense_rank(bit_rows(columns, 3)) == 3
+
+    def test_uncertified_rank_fails(self, monkeypatch, capsys):
+        gf2_rank = schur_weyl._gf2_rank
+        monkeypatch.setattr(schur_weyl, "_gf2_rank", lambda vectors: gf2_rank(vectors) - 1)
+        with pytest.raises(ValueError, match=r"uncertified rank: GF\(2\) rank 7 is below the 8"):
+            faithfulness_rank(2, 2)
+        assert run(["schur-weyl", "--rank", "2", "2"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: uncertified rank")
 
 
 class TestValueTypes:
