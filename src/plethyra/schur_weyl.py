@@ -340,10 +340,8 @@ def faithfulness_rank(d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> int:
     distinct = set(columns.values())
     rank = _gf2_rank(distinct)
     if rank != len(distinct):
-        raise ValueError(
-            f"uncertified rank: GF(2) rank {rank} is below the {len(distinct)} "
-            f"distinct columns at d = {d}, r = {r}; arithmetic bug upstream"
-        )
+        raise ValueError(f"uncertified rank: GF(2) rank {rank} is below the {len(distinct)} "
+                         f"distinct columns at d = {d}, r = {r}; arithmetic bug upstream")
     return rank
 
 
