@@ -174,6 +174,8 @@ def report(query, value, route, bounds_met=None, **extra) -> dict:
 
 def dispatch(args):
     cmd = args.command
+    if getattr(args, "max_degree", None) is not None and args.max_degree < 0:
+        raise DomainError(f"{cmd} requires --max-degree >= 0, got {args.max_degree}")
     if cmd == "plethysm":
         nu, mu = parse_partition(args.nu), parse_partition(args.mu)
         if args.lam is not None:
@@ -242,6 +244,8 @@ def dispatch(args):
     if cmd == "diagram":
         return dispatch_diagram(args)
     if cmd == "theta":
+        if args.bound < 0:
+            raise DomainError(f"theta requires --bound >= 0, got {args.bound}")
         elements, below = diagrams.theta_poset(args.r, args.bound)
         return report(
             f"theta r={args.r}", [list(t) for t in elements], route="closed_form",

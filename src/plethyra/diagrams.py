@@ -10,6 +10,7 @@ including zero.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import NamedTuple
 
 from plethyra.coefficients import _branching_function
@@ -41,6 +42,14 @@ class PartitionDiagram:
             )
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, r: int, s: int, blocks: tuple) -> "PartitionDiagram":
+        """Trusted constructor: ``blocks`` already partition 1..r+s in
+        canonical form, as the coarsening walk emits them."""
+        d = object.__new__(cls)
+        d.r, d.s, d.blocks = r, s, blocks
+        return d
 
     @classmethod
     def identity(cls, r: int) -> "PartitionDiagram":
@@ -133,7 +142,7 @@ class PartitionDiagram:
     def coarser_diagrams(self):
         """All diagrams whose set-partition is coarser, self included."""
         return [
-            PartitionDiagram(self.r, self.s, blocks)
+            PartitionDiagram._canonical(self.r, self.s, blocks)
             for blocks in coarsenings(self.blocks)
         ]
 
@@ -195,7 +204,7 @@ def orbit_expand(d: PartitionDiagram) -> dict:
 def orbit_collapse(x: PartitionDiagram) -> dict:
     """Coefficients of x_Lambda in the diagram basis: mu(x, coarse) on every coarsening."""
     return {
-        PartitionDiagram(x.r, x.s, blocks): mu
+        PartitionDiagram._canonical(x.r, x.s, blocks): mu
         for blocks, mu in mobius_coarsenings(x.blocks)
     }
 
@@ -589,18 +598,29 @@ def v0_basis(r: int, a: int, b: int) -> list:
     return out
 
 
+def _v0_count(r: int, b: int) -> int:
+    """|V^0_r(0^b)| = sum_j C(r, j) S(j, b) NS(r - j): j southern vertices
+    fill the b propagating blocks (S the Stirling numbers of the second
+    kind) and the other r - j form singleton-free blocks (NS)."""
+    stirling = [[1]]
+    for m in range(1, r + 1):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, m + 1)])
+    bell = [sum(row) for row in stirling]
+    ns = [sum((-1) ** i * comb(n, i) * bell[n - i] for i in range(n + 1)) for n in range(r + 1)]
+    return sum(comb(r, j) * stirling[j][b] * ns[r - j] for j in range(b, r + 1))
+
+
 def dq_dimension_check(r: int, beta) -> tuple:
     """Diagrammatic vs character-side dimension of the depth quotient.
 
-    Diagrammatic: f^beta times the number of basis diagrams of
-    V^0_r(0^|beta|), counted from their choices without building them.
+    Diagrammatic: f^beta times |V^0_r(0^|beta|)| by its closed-form count.
     Formula: sum over kappa of rc(empty^beta, kappa) weighted by f^kappa.
     """
     beta = as_partition(beta)
     if sum(beta) > r:
         raise ValueError(f"dq-check requires |beta| <= r, got |beta| = {sum(beta)}, r = {r}")
-    basis_size = sum(1 for _ in _v0_choices(r, 0, sum(beta)))
-    diagrammatic = std_tableaux_count(beta) * basis_size
+    diagrammatic = std_tableaux_count(beta) * _v0_count(r, sum(beta))
     formula = sum(c * std_tableaux_count(kappa)
                   for kappa, c in _branching_function((), beta, r).terms.items())
     return diagrammatic, formula

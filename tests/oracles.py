@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it checks: plethysm via raw
 monomial substitution, tableaux by brute enumeration, Moebius by
 recursive inversion, LR coefficients through character sums,
-commutation by matrix products, ranks by dense elimination.
+commutation by matrix products, ranks by dense elimination, associativity
+over every triple.
 """
 
 import itertools
@@ -353,6 +354,22 @@ def compose_by_search(d1, d2):
         else:
             loops += 1
     return sorted(blocks), loops
+
+
+def associative_by_triples(table):
+    """Associativity of a product table over every triple (i, j, k), loop
+    counts included: ``table[i][j]`` is (loops, index of the product).
+    Returns the first failing triple, or None."""
+    for i, ti in enumerate(table):
+        for j, (t1, ij) in enumerate(ti):
+            tij, tj = table[ij], table[j]
+            for k in range(len(table)):
+                t2, left = tij[k]
+                u1, jk = tj[k]
+                u2, right = ti[jk]
+                if left != right or t1 + t2 != u1 + u2:
+                    return i, j, k
+    return None
 
 
 def v0_choices_by_rejection(r, a, b):

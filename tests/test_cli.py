@@ -215,10 +215,15 @@ class TestExitCodes:
         (["dq-check", "--r", "-1", "--beta", "[1]"], "dq-check requires --r >= 0, got -1"),
         (["schur-weyl", "--commute", "2", "2", "2", "--max-entries", "-1"],
          "schur-weyl requires --max-entries >= 0, got -1"),
+        (["plethysm", "--nu", "[1]", "--mu", "[1]", "--lam", "[1]", "--max-degree", "-1"],
+         "plethysm requires --max-degree >= 0, got -1"),
+        (["stable", "--beta", "[1]", "--m", "2", "--n", "3", "--kappa", "[1]",
+          "--max-degree", "-1"], "stable requires --max-degree >= 0, got -1"),
+        (["theta", "--r", "2", "--bound", "-1"], "theta requires --bound >= 0, got -1"),
     ], ids=["gf-b", "gf-n", "marked-b", "marked-r", "marked-cap", "rank-d", "rank-r",
             "commute-m", "commute-n", "commute-r", "rc-r", "theta-r", "tableaux-m",
             "tableaux-n", "tableaux-k", "tableaux-r", "stable-m", "stable-n", "dq-check-r",
-            "max-entries"])
+            "max-entries", "plethysm-max-degree", "stable-max-degree", "theta-bound"])
     def test_negative_integer_exit_one(self, capsys, argv, precondition):
         code, lines = run_error(capsys, argv)
         assert code == 1

@@ -8,6 +8,7 @@ from plethyra.diagrams import (
     PartitionDiagram,
     RamifiedDiagram,
     _v0_choices,
+    _v0_count,
     cell_action,
     compose,
     dq_dimension_check,
@@ -207,6 +208,14 @@ class TestOrbitBasis:
                     acc[dd] = acc.get(dd, 0) + c1 * c2
             acc = {k: v for k, v in acc.items() if v}
             assert acc == {d: 1}
+
+    def test_trusted_constructor_matches_validated(self):
+        for q in range(7):
+            for r in range(q + 1):
+                for d in all_diagrams(r, q - r):
+                    for x in [*d.coarser_diagrams(), *orbit_collapse(d)]:
+                        assert type(x.blocks) is tuple
+                        assert x == PartitionDiagram(r, q - r, x.blocks)
 
 
 class TestCellAction:
@@ -491,6 +500,11 @@ class TestDepthStructure:
 
 
 class TestDqDimensions:
+    def test_closed_form_count(self):
+        for r in range(10):
+            for b in range(min(r, 3) + 1):
+                assert _v0_count(r, b) == sum(1 for _ in _v0_choices(r, 0, b)), (r, b)
+
     def test_example_values(self):
         assert dq_dimension_check(5, (2, 1)) == (70, 70)
 
