@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -318,7 +319,15 @@ def dispatch_schur_weyl(args):
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe; as the Python docs advise for SIGPIPE,
+        # point stdout at devnull so that the flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

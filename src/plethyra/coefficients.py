@@ -2,12 +2,13 @@
 closed forms, each with an independently computable route.
 
 The branching coefficient rc(alpha^beta, kappa) is read from one symmetric
-function per (alpha, beta, r = |kappa|): F = sum over p of G_p * H_q with
-p + q = r - |alpha||beta|, where G_p sums the G^alpha_{beta,gamma} with
-|gamma| = p and H_q sums the h_eps with singleton-free eps of size q.  F is
-assembled from class functions (products and sums in the power-sum basis)
-and converted to Schur form once.  It does not depend on kappa, so it is
-built once and every kappa of r is read off it.
+function per (alpha, beta, r = |kappa|): F = sum over p of G_p * H_{r-p},
+where G_p sums the G^alpha_{beta,gamma} of degree p and H_q the h_eps with
+singleton-free eps of size q.  All the G_p come from one walk over part
+sizes and the H_q from the series h[h_2 + h_3 + ...], with no gamma or eps
+listed, no generalized LR coefficient and no plethysm.  F is assembled from
+class functions and converted to Schur form once.  It does not depend on
+kappa, so it is built once and every kappa of r is read off it.
 """
 
 from __future__ import annotations
@@ -21,18 +22,16 @@ from plethyra.partitions import (
     marked_partitions,
     marked_partitions_distinct,
     pad,
-    partitions_no_singletons,
-    partitions_of,
     cayley_tableaux_count,
     hook_content_series,
     stable_two_row_gf,
 )
 from plethyra.symfunc import (
     SchurPoly,
+    _branching_walk,
     _plethysm_expansion,
-    g_sym,
-    h_eps,
     powersum_to_schur,
+    singleton_free_series,
     weighted_sum,
 )
 
@@ -87,27 +86,20 @@ BRANCHING_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=BRANCHING_CACHE_SIZE)
 def _branching_function(alpha, beta, r) -> SchurPoly:
-    """F = sum over p of G_p * H_{r - |alpha||beta| - p}, whose coefficient
-    of s_kappa is rc(alpha^beta, kappa) for every kappa of size r.
+    """F = sum over p of G_p * H_{r - p}, whose coefficient of s_kappa is
+    rc(alpha^beta, kappa) for every kappa of size r.
 
-    G_p sums G^alpha_{beta,gamma} over gamma of size p with at most |beta|
-    parts (g_sym is 0 off its side conditions); H_q sums h_eps over the
-    singleton-free eps of size q.  F is summed as a class function
-    and converted to Schur form once.
+    G_p sums G^alpha_{beta,gamma} over every gamma of degree p, all from
+    one walk with free counts; H_q sums h_eps over the singleton-free eps
+    of size q.  H_1 = 0, so the walk skips degree r - 1.  F is summed as a
+    class function and converted to Schur form once.
     """
     a, b = sum(alpha), sum(beta)
     if r < a * b:
         raise DomainError(f"rc requires |kappa| >= |alpha|*|beta|: {r} < {a * b}")
-    products = []
-    for p in range(r - a * b + 1):
-        eps_list = partitions_no_singletons(r - a * b - p)
-        if not eps_list:
-            continue
-        g_p = weighted_sum((1, g_sym(alpha, beta, gamma))
-                           for gamma in partitions_of(p) if len(gamma) <= b)
-        if g_p:
-            products.append((1, g_p * weighted_sum((1, h_eps(eps)) for eps in eps_list)))
-    return powersum_to_schur(weighted_sum(products))
+    h = singleton_free_series(r - a * b)
+    walk = _branching_walk(alpha, beta, degrees={p for p in range(r + 1) if p != r - 1})
+    return powersum_to_schur(weighted_sum((1, g * h[r - p]) for p, g in walk.items()))
 
 
 def ramified_branching(alpha, beta, kappa) -> int:

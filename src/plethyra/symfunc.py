@@ -7,16 +7,19 @@ at the end, and are checked to be exact.  Littlewood-Richardson
 coefficients come from direct lattice-word tableaux enumeration, and basis
 changes go through Murnaghan-Nakayama border strips on beta-sets.
 
-The branching functions g_sym and h_eps are class functions, built from the
-plethysms' class functions by products and sums; only the Pieri products
-s_alpha * h_i that feed them are multiplied in the Schur basis.
+The branching functions are class functions.  g_sym and its sum over every
+gamma come from one walk over part sizes that restricts chi^beta to Young
+subgroups, with no plethysm; only the Pieri products s_alpha * h_i that feed
+it are multiplied in the Schur basis.  The sum of h_eps over singleton-free
+eps comes from the series h[h_2 + h_3 + ...].
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from plethyra.partitions import as_partition, partitions_of
 
@@ -135,7 +138,10 @@ class PowerSumPoly:
         """(fg)(rho) = sum over sigma + tau = rho of
         prod_k C(m_k(rho), m_k(tau)) f(sigma) g(tau), where m_k counts the
         parts equal to k; only the parts of tau can give a factor other
-        than 1, so tau runs over the smaller support."""
+        than 1, so tau runs over the smaller support.  A factor 1 returns
+        the other factor itself."""
+        if self.terms == {(): 1} or other.terms == {(): 1}:
+            return other if self.terms == {(): 1} else self
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
@@ -189,7 +195,11 @@ class PowerSumPoly:
 
 
 def weighted_sum(pairs) -> PowerSumPoly:
-    """The sum of c * f over the (c, f) pairs, f a PowerSumPoly."""
+    """The sum of c * f over the (c, f) pairs, f a PowerSumPoly; a lone
+    pair (1, f) gives f itself."""
+    pairs = list(pairs)
+    if len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
     acc = defaultdict(int)
     for c, f in pairs:
         for rho, v in f.terms.items():
@@ -214,6 +224,13 @@ def _divide_exactly(total, scale, what, where) -> int:
             "arithmetic bug upstream"
         )
     return q
+
+
+def _divided(values, scale) -> PowerSumPoly:
+    """The class function ``values`` / scale, each value known to be an
+    integer."""
+    return PowerSumPoly.from_values(
+        {rho: _divide_exactly(v, scale, "class value", rho) for rho, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +512,7 @@ def plethysm_powersum(f: SchurPoly, g: SchurPoly) -> PowerSumPoly:
         return (PowerSumPoly.from_values(values) * scaled[k]).terms
 
     weights = _factorial_coefficients(schur_to_powersum(f).terms, n)
-    scale = math.factorial(n)
-    return PowerSumPoly.from_values(
-        {sigma: _divide_exactly(total, scale, "class value", sigma)
-         for sigma, total in _horner(weights, (), times_p_of_g).items()})
+    return _divided(_horner(weights, (), times_p_of_g), math.factorial(n))
 
 
 def plethysm(f: SchurPoly, g: SchurPoly) -> SchurPoly:
@@ -506,8 +520,9 @@ def plethysm(f: SchurPoly, g: SchurPoly) -> SchurPoly:
     return powersum_to_schur(plethysm_powersum(f, g))
 
 
-# Bounded so a long-lived process does not grow without limit; the rc-sweep
-# benchmark workload fills 64 entries and `verify --suite acceptance` 156.
+# Bounded so a long-lived process does not grow without limit; the stable
+# route reads no plethysm, so the rc-sweep benchmark workload fills none,
+# and `verify --suite acceptance` fills 72 (brute force and h_eps).
 PLETHYSM_CACHE_SIZE = 256
 
 
@@ -543,43 +558,89 @@ def _pieri(alpha, i) -> SchurPoly:
     return SchurPoly.schur(alpha) * SchurPoly.schur((i,))
 
 
+def _branching_walk(alpha, beta, counts=None, degrees=()) -> dict:
+    """{degree: sum of the G^alpha_{beta,gamma} of that degree} over the gamma
+    with multiplicities ``counts`` ({part size: count}, size 0 for the
+    distinguished zero parts) or, when ``counts`` is None, over every gamma,
+    keeping the degrees in ``degrees``.
+
+    Summing generalized LR coefficients over pieces restricts chi^beta to a
+    Young subgroup (Macdonald I.7): G = (1/b!) sum over u |- b = |beta| of
+    chi^beta(u) (b!/z_u) W(u).  The walk visits each part size i once (0
+    only for alpha nonempty), picking a count c and a cycle type rho |- c;
+    W(u) sums over the picks whose cycle types have union u, each step
+    weighted by z_{u+rho}/(z_u z_rho) = prod_k C(m_k(u+rho), m_k(rho)) and
+    by A_i(rho) = sum_mu k_mu prod_j p_{rho_j}[s_mu], the k_mu s_mu being
+    the Schur components of s_alpha h_i.  With free counts, a pick is
+    dropped when the blocks left, each of degree >= |alpha| + i + 1, do
+    not fit under max(degrees).
+    """
+    a, b = sum(alpha), sum(beta)
+    one = PowerSumPoly({(): 1})
+    if not b:
+        return {0: one}
+    us = partitions_of(b)
+    final = {u: chi * (math.factorial(b) // zee(u))
+             for u, chi in zip(us, _character_row(beta, us))}
+    top = max(degrees, default=0)
+    states, done = {((), 0): one}, defaultdict(list)  # (u, degree) -> W, |u| < b
+    for i in sorted(counts) if counts is not None else itertools.count(0 if alpha else 1):
+        if not states:
+            break
+        components = [(k, schur_to_powersum(SchurPoly.schur(mu)))
+                      for mu, k in _pieri(alpha, i).terms.items()]
+        factors, steps = {(): one}, defaultdict(list)
+        for (u, d), acc in states.items():
+            left = b - sum(u)
+            for c in (counts[i],) if counts is not None else range(left + 1):
+                e = d + c * (a + i)
+                if counts is None and (e + (left - c) * (a + i + 1) > top
+                                       or c == left and e not in degrees):
+                    continue
+                for rho in partitions_of(c):
+                    v = tuple(sorted(u + rho, reverse=True))
+                    if c < left or final[v]:
+                        if rho not in factors:
+                            factors[rho] = weighted_sum(
+                                (k, math.prod(map(f.scale_parts, rho), start=one))
+                                for k, f in components)
+                        w = math.prod(math.comb(v.count(k), rho.count(k)) for k in set(rho))
+                        steps[v, e].append((w, acc * factors[rho]))
+        states = {}
+        for (v, e), pairs in steps.items():
+            if sum(v) < b:
+                states[v, e] = weighted_sum(pairs)
+            else:
+                done[e].append((final[v], weighted_sum(pairs)))
+    return {e: _divided(weighted_sum(pairs).terms, math.factorial(b)) for e, pairs in done.items()}
+
+
 def g_sym(alpha, beta, gamma) -> PowerSumPoly:
     """The branching symmetric function G^alpha_{beta, gamma}, as a class
-    function.
-
-    Zero parts of gamma are dropped, and gamma carries |beta| - ell(gamma)
-    distinguished zero parts.  Each part size i (zero included) applies its
-    outer piece to every Schur component of s_alpha * h_i separately, the
-    composition in the semisimple sense; for alpha empty that component is
-    h_i alone.  Returns 0 exactly when the side conditions fail:
-    ell(gamma) > |beta|, or zero parts with alpha empty.
+    function: ``_branching_walk`` with the multiplicities of gamma as fixed
+    counts.  Zero parts of gamma are dropped, and gamma carries
+    |beta| - ell(gamma) distinguished zero parts.  Returns 0 exactly when
+    the side conditions fail: ell(gamma) > |beta|, or zero parts with alpha
+    empty.
     """
-    alpha, beta = tuple(alpha), tuple(beta)
-    gamma = tuple(x for x in tuple(gamma) if x)
+    gamma = [x for x in gamma if x]
     zeros = sum(beta) - len(gamma)
-    if zeros < 0 or (zeros and alpha == ()):
+    if zeros < 0 or (zeros and not alpha):
         return PowerSumPoly()
-    mult = {}
-    for part in gamma:
-        mult[part] = mult.get(part, 0) + 1
-    if zeros:
-        mult[0] = zeros
-    # per part size i (descending), each piece of c_i with its factor
-    levels = []
-    for i, c in sorted(mult.items(), reverse=True):
-        components = _pieri(alpha, i).terms.items()
-        levels.append([(piece, weighted_sum((k, _plethysm_expansion(piece, mu))
-                                            for mu, k in components))
-                       for piece in partitions_of(c)])
+    walk = _branching_walk(alpha, beta, Counter(gamma + [0] * zeros))
+    return next(iter(walk.values()), PowerSumPoly())
 
-    def descend(idx, seq, acc):
-        """(generalized LR coefficient, product of the factors) per seq."""
-        if idx == len(levels):
-            coeff = generalized_lr(beta, tuple(seq))
-            if coeff:
-                yield coeff, acc
-            return
-        for piece, factor in levels[idx]:
-            yield from descend(idx + 1, seq + [piece], acc * factor)
 
-    return weighted_sum(descend(0, [], PowerSumPoly({(): 1})))
+def singleton_free_series(top) -> list:
+    """[H_0, ..., H_top], H_n the sum of h_eps over the singleton-free
+    eps |- n.  Their sum is h[h_2 + h_3 + ...] (Macdonald I.2), so n H_n is
+    the sum over m >= 2 of M_m H_{n-m}, M_m = sum over jk = m, j >= 2, of
+    j p_k[h_j]."""
+    h = [PowerSumPoly.from_values(dict.fromkeys(partitions_of(j), 1)) for j in range(top + 1)]
+    logs = [weighted_sum((j, h[j].scale_parts(m // j)) for j in range(2, m + 1) if m % j == 0)
+            for m in range(top + 1)]
+    series = [PowerSumPoly({(): 1})]
+    for n in range(1, top + 1):
+        series.append(_divided(weighted_sum(
+            (1, logs[m] * series[n - m]) for m in range(2, n + 1) if series[n - m]).terms, n))
+    return series

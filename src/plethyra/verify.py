@@ -27,29 +27,36 @@ EIGHT_STRAND_RIGHT = "{1}|{2,1',2'}|{3,4'}|{4,3'}|{5,5',6'}|{6}|{7,8,7',8'}"
 EIGHT_STRAND_PRODUCT = "{1,2,4,1',2',5',6'}|{3}|{5,6,7,8,3',4',7',8'}"
 
 
+def _require(ok, message=""):
+    """Raise AssertionError(message) unless ok: an explicit raise, which
+    ``python -O`` keeps where it strips an assert statement."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def check_empty_inner_table():
     got = tuple(coefficients.ramified_branching((), (2, 1), k) for k in KAPPAS_5)
-    assert got == EMPTY_INNER_TABLE, f"rc(empty^(2,1)) table {got} != {EMPTY_INNER_TABLE}"
+    _require(got == EMPTY_INNER_TABLE, f"rc(empty^(2,1)) table {got} != {EMPTY_INNER_TABLE}")
     return f"rc(empty^(2,1), kappa) over kappa |- 5 = {got}"
 
 
 def check_box_inner_table():
     rc = tuple(coefficients.ramified_branching((1,), (2, 1), k) for k in KAPPAS_5)
-    assert rc == BOX_INNER_TABLE, f"rc((1)^(2,1)) table {rc} != {BOX_INNER_TABLE}"
+    _require(rc == BOX_INNER_TABLE, f"rc((1)^(2,1)) table {rc} != {BOX_INNER_TABLE}")
     brute = tuple(
         coefficients.plethysm_coefficient((2, 1), (3, 1), partitions.pad(k, 12))
         for k in KAPPAS_5
     )
-    assert brute == BOX_INNER_BRUTE, f"brute table {brute} != {BOX_INNER_BRUTE}"
-    assert all(b <= c for b, c in zip(brute, rc)), "brute force exceeds rc bound"
+    _require(brute == BOX_INNER_BRUTE, f"brute table {brute} != {BOX_INNER_BRUTE}")
+    _require(all(b <= c for b, c in zip(brute, rc)), "brute force exceeds rc bound")
     return f"rc = {rc}, brute p((2,1),(3,1),kappa[12]) = {brute}, coordinatewise <="
 
 
 def check_plethysm_sanity():
     got = symfunc.plethysm(symfunc.SchurPoly.schur((2,)), symfunc.SchurPoly.schur((2,)))
     want = symfunc.SchurPoly({(4,): 1, (2, 2): 1})
-    assert got == want, f"s2 o s2 = {got}"
-    assert got.coefficient((3, 1)) == 0
+    _require(got == want, f"s2 o s2 = {got}")
+    _require(got.coefficient((3, 1)) == 0)
     return "s_(2) o s_(2) = s_(4) + s_(2,2)"
 
 
@@ -77,12 +84,11 @@ def check_stable_range_exact_bounds():
             partitions.pad(beta, n), (m,), partitions.pad(kappa, m * n)
         )
         stable = coefficients.ramified_branching((), beta, kappa)
-        assert brute == stable, (
-            f"stable-range mismatch at beta={beta}, m={m}, n={n}, kappa={kappa}: "
-            f"{brute} != {stable}"
-        )
+        _require(brute == stable,
+                 f"stable-range mismatch at beta={beta}, m={m}, n={n}, kappa={kappa}: "
+                 f"{brute} != {stable}")
         count += 1
-    assert count >= 40, f"sweep covered only {count} cases"
+    _require(count >= 40, f"sweep covered only {count} cases")
     return f"{count} exact-bound comparisons agree"
 
 
@@ -93,7 +99,7 @@ def check_tightness():
             if r <= b:
                 continue
             report = coefficients.tightness_check(b, r)
-            assert report.ok, f"tightness failed at b={b}, r={r}: {report}"
+            _require(report.ok, f"tightness failed at b={b}, r={r}: {report}")
             lines.append(f"(b={b},r={r})")
     return "stable value minus one at every boundary: " + " ".join(lines)
 
@@ -101,16 +107,16 @@ def check_tightness():
 def check_generating_functions():
     gf0 = partitions.stable_two_row_gf(0, 11)
     direct0 = [len(partitions.partitions_no_singletons(r)) for r in range(12)]
-    assert gf0 == direct0, f"b=0 series {gf0} != {direct0}"
+    _require(gf0 == direct0, f"b=0 series {gf0} != {direct0}")
     gf1 = partitions.stable_two_row_gf(1, 11)
     pseries = partitions.partition_count_series(11)
     direct1 = [0] + pseries[:11]
-    assert gf1 == direct1, f"b=1 series {gf1} != {direct1}"
+    _require(gf1 == direct1, f"b=1 series {gf1} != {direct1}")
     gf2 = partitions.stable_two_row_gf(2, 11)
     direct2 = [
         sum(lam.count(2) for lam in partitions.partitions_of(r)) for r in range(12)
     ]
-    assert gf2 == direct2, f"b=2 series {gf2} != {direct2}"
+    _require(gf2 == direct2, f"b=2 series {gf2} != {direct2}")
     # Three routes to the stable two-row value p((n-b,b), (m), (mn-r,r)):
     # generating function, b-marked-partition count, branching formula.
     for b in range(5):
@@ -118,15 +124,15 @@ def check_generating_functions():
         for r in range(11):
             enum = coefficients.two_row_stable(b, r)
             formula = coefficients.ramified_branching((), (b,) if b else (), (r,) if r else ())
-            assert series[r] == enum == formula, (
-                f"b={b}, r={r}: series {series[r]}, enumeration {enum}, rc {formula}")
+            _require(series[r] == enum == formula,
+                     f"b={b}, r={r}: series {series[r]}, enumeration {enum}, rc {formula}")
     return ("first 12 coefficients match the three independent sequences; "
             "series, enumeration and rc agree for b <= 4, r <= 10")
 
 
 def check_block_beta_example():
     value = coefficients.ramified_branching((), (3, 3, 3), (3, 3, 3, 2))
-    assert value == 4, f"rc(empty^(3,3,3), (3,3,3,2)) = {value}"
+    _require(value == 4, f"rc(empty^(3,3,3), (3,3,3,2)) = {value}")
     summands = [
         ((3,) + (1,) * 8, ()),
         ((2, 2) + (1,) * 7, ()),
@@ -137,7 +143,7 @@ def check_block_beta_example():
         .schur_coefficient((3, 3, 3, 2))
         for gamma, eps in summands
     )
-    assert contributions == (1, 2, 1), f"contributions {contributions}"
+    _require(contributions == (1, 2, 1), f"contributions {contributions}")
     return "value 4 with per-summand contributions (1, 2, 1)"
 
 
@@ -205,13 +211,12 @@ def check_associative_by_light(diags, table, generators):
 def check_diagram_kernel():
     lam = diagrams.PartitionDiagram.parse(EIGHT_STRAND_LEFT)
     count, perm = lam.propagating_data()
-    assert (count, perm) == (3, (1, 3, 2)), f"left factor data {(count, perm)}"
+    _require((count, perm) == (3, (1, 3, 2)), f"left factor data {(count, perm)}")
     gam = diagrams.PartitionDiagram.parse(EIGHT_STRAND_RIGHT)
     product = diagrams.compose(lam, gam)
     expected = diagrams.PartitionDiagram.parse(EIGHT_STRAND_PRODUCT)
-    assert product.exp_out == 1 and product.diagram == expected, (
-        f"eight-strand product {product.diagram.format()} delta^{product.exp_out}"
-    )
+    _require(product.exp_out == 1 and product.diagram == expected,
+             f"eight-strand product {product.diagram.format()} delta^{product.exp_out}")
 
     light = []
     for r in (1, 2, 3):
@@ -230,7 +235,7 @@ def check_diagram_kernel():
                     for dd, c2 in diagrams.orbit_collapse(x).items():
                         acc[dd] = acc.get(dd, 0) + c1 * c2
                 acc = {k: v for k, v in acc.items() if v}
-                assert acc == {d: 1}, f"orbit round trip fails for {d}"
+                _require(acc == {d: 1}, f"orbit round trip fails for {d}")
 
     rng = random.Random(2024)
     for _ in range(200):
@@ -239,8 +244,8 @@ def check_diagram_kernel():
         ram = diagrams.ramified_compose(
             diagrams.RamifiedDiagram.diagonal(d1), diagrams.RamifiedDiagram.diagonal(d2)
         )
-        assert ram.diagram == diagrams.RamifiedDiagram.diagonal(plain.diagram)
-        assert ram.exp_in == ram.exp_out == plain.exp_out, "exponent bookkeeping"
+        _require(ram.diagram == diagrams.RamifiedDiagram.diagonal(plain.diagram))
+        _require(ram.exp_in == ram.exp_out == plain.exp_out, "exponent bookkeeping")
     gens, sizes = ("/".join(str(x) for x in col) for col in zip(*light))
     return (f"eight-strand product exact; associativity r <= 3 by Light's test on "
             f"{gens} generators, closure Bell(2r) = {sizes}; orbit round trips; "
@@ -249,7 +254,7 @@ def check_diagram_kernel():
 
 def check_depth_quotient():
     dims = diagrams.dq_dimension_check(5, (2, 1))
-    assert dims == (70, 70), f"dq_dimension_check(5,(2,1)) = {dims}"
+    _require(dims == (70, 70), f"dq_dimension_check(5,(2,1)) = {dims}")
     basis = diagrams.v0_basis(5, 0, 3)
     census = {}
     for d in basis:
@@ -261,20 +266,19 @@ def check_depth_quotient():
         ((1, 1, 1), (2,)): 10,
     }
     got = {(t.gamma, t.epsilon): c for t, c in census.items()}
-    assert got == want, f"type census {got}"
+    _require(got == want, f"type census {got}")
     small = [d for d in diagrams.v0_basis(4, 0, 0) if diagrams.type_of(d).epsilon == (2, 2)]
-    assert len(small) == 3, f"|V0_4(empty; empty,(2,2))| = {len(small)}"
+    _require(len(small) == 3, f"|V0_4(empty; empty,(2,2))| = {len(small)}")
     return "dimensions (70, 70); census 10/15/10; 3-dimensional small case"
 
 
 def check_schur_weyl():
-    assert schur_weyl.check_commute(2, 2, 2), "commutation fails at (2,2,2)"
-    assert schur_weyl.check_commute(2, 2, 3), "commutation fails at (2,2,3)"
+    _require(schur_weyl.check_commute(2, 2, 2), "commutation fails at (2,2,2)")
+    _require(schur_weyl.check_commute(2, 2, 3), "commutation fails at (2,2,3)")
     rank = schur_weyl.faithfulness_rank(4, 2)
-    assert rank == 15, f"faithfulness_rank(4,2) = {rank}"
-    assert not schur_weyl.check_commute(2, 3, 2, swap_roles=True), (
-        "negative control unexpectedly commutes"
-    )
+    _require(rank == 15, f"faithfulness_rank(4,2) = {rank}")
+    _require(not schur_weyl.check_commute(2, 3, 2, swap_roles=True),
+             "negative control unexpectedly commutes")
     return "commutation at (2,2,2) and (2,2,3); rank 15; negative control fails"
 
 
@@ -290,10 +294,9 @@ def check_cayley_sylvester():
                     nu = (n - b, b) if b else (n,)
                     lam = (m * n - r, r) if r else (m * n,)
                     brute = coefficients.plethysm_coefficient(nu, (m,), lam)
-                    assert oracle == brute, (
-                        f"cayley mismatch at b={b} m={m} n={n} r={r}: "
-                        f"{oracle} != {brute}"
-                    )
+                    _require(oracle == brute,
+                             f"cayley mismatch at b={b} m={m} n={n} r={r}: "
+                             f"{oracle} != {brute}")
                     count += 1
     return f"{count} oracle-vs-brute comparisons agree"
 
@@ -309,15 +312,14 @@ def check_hooks():
             lam = (m * n - r,) + (1,) * r
             value = coefficients.plethysm_coefficient(nu, (m,), lam)
             expected = 1 if r == b else 0
-            assert value == expected, (
-                f"hook/column case b={b}, r={r}: {value} != {expected}"
-            )
+            _require(value == expected,
+                     f"hook/column case b={b}, r={r}: {value} != {expected}")
     for b in range(4):
         beta = (1,) * b
         for r in range(1, 7):
             closed = coefficients.hook_stable(b, r, column=False)
             rc = coefficients.ramified_branching((), beta, (r,))
-            assert closed == rc, f"hook_stable({b},{r}) = {closed} != rc {rc}"
+            _require(closed == rc, f"hook_stable({b},{r}) = {closed} != rc {rc}")
     return "column cases are [r=b]; hook rows match rc up to r = 6"
 
 

@@ -2,9 +2,10 @@
 
 Each oracle deliberately avoids the code path it checks: plethysm via raw
 monomial substitution, tableaux by brute enumeration, Moebius by
-recursive inversion, LR coefficients through character sums,
-commutation by matrix products, ranks by dense elimination, associativity
-over every triple.
+recursive inversion, LR coefficients through character sums, branching
+functions by generalized LR coefficients over pieces, commutation by
+matrix products, ranks by dense elimination, associativity over every
+triple.
 """
 
 import itertools
@@ -208,18 +209,57 @@ def characters_by_jacobi_trudi(lam):
     return {rho: total.get(rho, 0) for rho in partitions_of(sum(lam))}
 
 
+def g_sym_by_pieces(alpha, beta, gamma):
+    """G^alpha_{beta,gamma} as a class function, by the pieces: each part
+    size i of gamma (zero parts included, |beta| - ell(gamma) of them) with
+    multiplicity c takes a piece |- c, each sequence of pieces is weighted
+    by its generalized LR coefficient, and a piece contributes the sum of
+    its plethysms with the Schur components of s_alpha * h_i.  No
+    Young-subgroup restriction."""
+    from plethyra.partitions import partitions_of
+    from plethyra.symfunc import (
+        PowerSumPoly, SchurPoly, _plethysm_expansion, generalized_lr, weighted_sum)
+
+    alpha, beta = tuple(alpha), tuple(beta)
+    gamma = tuple(x for x in gamma if x)
+    zeros = sum(beta) - len(gamma)
+    if zeros < 0 or (zeros and alpha == ()):
+        return PowerSumPoly()
+    mult = {i: gamma.count(i) for i in set(gamma)}
+    if zeros:
+        mult[0] = zeros
+    levels = []
+    for i, c in sorted(mult.items(), reverse=True):
+        components = (SchurPoly.schur(alpha) * SchurPoly.schur((i,) if i else ())).terms.items()
+        levels.append([(piece, weighted_sum((k, _plethysm_expansion(piece, mu))
+                                            for mu, k in components))
+                       for piece in partitions_of(c)])
+
+    def descend(idx, seq, acc):
+        if idx == len(levels):
+            coeff = generalized_lr(beta, tuple(seq))
+            if coeff:
+                yield coeff, acc
+            return
+        for piece, factor in levels[idx]:
+            yield from descend(idx + 1, seq + [piece], acc * factor)
+
+    return weighted_sum(descend(0, [], PowerSumPoly({(): 1})))
+
+
 def ramified_branching_by_summands(alpha, beta, kappa):
     """rc(alpha^beta, kappa) as the sum of <G^alpha_{beta,gamma} H_eps, s_kappa>
-    over every pair (gamma, eps): g_sym and h_eps are converted to Schur form
-    and each product is multiplied out by LR coefficients, not in the class
-    functions that assemble F."""
+    over every pair (gamma, eps): G from ``g_sym_by_pieces`` and the
+    package's h_eps are converted to Schur form and each product is
+    multiplied out by LR coefficients, not in the class functions that
+    assemble F."""
     from plethyra.coefficients import DomainError
     from plethyra.partitions import (
         as_partition,
         partitions_no_singletons,
         partitions_of,
     )
-    from plethyra.symfunc import SchurPoly, g_sym, h_eps, powersum_to_schur
+    from plethyra.symfunc import SchurPoly, h_eps, powersum_to_schur
 
     alpha, beta, kappa = as_partition(alpha), as_partition(beta), as_partition(kappa)
     r = sum(kappa)
@@ -235,7 +275,7 @@ def ramified_branching_by_summands(alpha, beta, kappa):
             continue
         gammas = [g for g in partitions_of(p) if len(g) == b or (alpha and len(g) < b)]
         for gamma in gammas:
-            g_poly = powersum_to_schur(g_sym(alpha, beta, gamma))
+            g_poly = powersum_to_schur(g_sym_by_pieces(alpha, beta, gamma))
             if not g_poly:
                 continue
             for eps in eps_list:

@@ -2,10 +2,14 @@ import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import plethyra
 from plethyra.cli import parse_partition, run
 from plethyra.verify import EMPTY_INNER_TABLE, KAPPAS_5
 
@@ -311,3 +315,33 @@ class TestDeterminism:
             "stable", "--beta", "[2]", "--m", "4", "--n", "6", "--kappa", "[4]",
         ])
         assert set(report) == {"query", "value", "route", "bounds_met", "elapsed_ms"}
+
+
+def spawn(*args, **kwargs):
+    """A fresh Python process on this package's sources, as Popen."""
+    env = {**os.environ, "PYTHONPATH": str(Path(plethyra.__file__).resolve().parents[1])}
+    return subprocess.Popen([sys.executable, *args], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestFreshProcess:
+    def test_verify_fails_under_optimized_mode(self):
+        """python -O strips assert statements; a perturbed golden value must
+        still fail, because the checks raise explicitly.  Only this
+        subprocess patches the table."""
+        code = ("import sys; from plethyra import cli, verify; "
+                "verify.EMPTY_INNER_TABLE = (9, 5, 4, 3, 2, 0, 0); "
+                "sys.exit(cli.run(['verify', '--suite', 'examples']))")
+        proc = spawn("-O", "-c", code)
+        out, err = proc.communicate(timeout=120)
+        assert "FAIL branching-table-empty-inner" in out, err
+        assert proc.returncode == 2
+
+    def test_closed_pipe_exits_without_traceback(self):
+        """A reader that stops after a few bytes of a 482 KB report."""
+        proc = spawn("-m", "plethyra.cli", "marked", "--b", "2", "--r", "30", "--list")
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

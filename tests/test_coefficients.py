@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from plethyra.coefficients import (
     CoefficientReport,
@@ -23,10 +24,14 @@ from plethyra.partitions import (
     partitions_no_singletons,
     partitions_of,
 )
-from plethyra.symfunc import _schur_times_schur
+from plethyra.symfunc import _plethysm_expansion, _schur_times_schur, generalized_lr
 from oracles import ramified_branching_by_summands
 
 KAPPAS_5 = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+
+# Every (alpha, beta, r) with |alpha| <= 2, |beta| <= 3 and r <= 9.
+SUMMAND_CASES = [(alpha, beta, r) for a in range(3) for alpha in partitions_of(a)
+                 for b in range(4) for beta in partitions_of(b) for r in range(a * b, 10)]
 
 
 class TestPlethysmCoefficient:
@@ -119,13 +124,28 @@ class TestRamifiedBranching:
     def test_branching_cache_is_bounded(self):
         assert _branching_function.cache_info().maxsize is not None
 
+    @seed(16)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(SUMMAND_CASES))
+    def test_matches_per_summand_oracle_sampled(self, case):
+        alpha, beta, r = case
+        for kappa in partitions_of(r):
+            assert ramified_branching(alpha, beta, kappa) == (
+                ramified_branching_by_summands(alpha, beta, kappa)), kappa
+
     def test_branching_function_multiplies_no_schur_pair(self):
-        """F is assembled from class functions, so building it for an empty
-        alpha leaves the Schur-product cache empty."""
-        _branching_function.cache_clear()
-        _schur_times_schur.cache_clear()
+        """F is assembled from class functions by one walk over part sizes:
+        building it for an empty alpha leaves the Schur-product cache empty,
+        and for alpha empty or (1) it takes no generalized LR coefficient
+        and no cached plethysm."""
+        for cached in (_branching_function, _schur_times_schur, generalized_lr,
+                       _plethysm_expansion):
+            cached.cache_clear()
         _branching_function((), (2, 1), 12)
         assert _schur_times_schur.cache_info().currsize == 0
+        _branching_function((1,), (2, 1), 10)
+        assert generalized_lr.cache_info().currsize == 0
+        assert _plethysm_expansion.cache_info().currsize == 0
 
 
 class TestStablePlethysm:

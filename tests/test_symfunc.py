@@ -21,7 +21,12 @@ from plethyra.symfunc import (
     schur_to_powersum,
     zee,
 )
-from oracles import characters_by_jacobi_trudi, lr_by_characters, monomial_plethysm
+from oracles import (
+    characters_by_jacobi_trudi,
+    g_sym_by_pieces,
+    lr_by_characters,
+    monomial_plethysm,
+)
 
 s = SchurPoly.schur
 
@@ -370,3 +375,16 @@ class TestGSym:
                         value = powersum_to_schur(g_sym(alpha, beta, gamma))
                         if value:
                             assert value.degree() == sum(gamma) + sum(alpha) * sum(beta)
+
+    @pytest.mark.parametrize("alpha", [(), (1,), (2,), (1, 1), (2, 1)])
+    def test_matches_pieces_oracle(self, alpha):
+        """The Young-subgroup walk against generalized LR coefficients over
+        pieces, for |beta| <= 4 and |gamma| <= 6, with and without zero
+        parts."""
+        for b in range(5):
+            for beta in partitions_of(b):
+                for p in range(7):
+                    for gamma in partitions_of(p):
+                        for padded in (gamma, gamma + (0,)):
+                            assert g_sym(alpha, beta, padded) == (
+                                g_sym_by_pieces(alpha, beta, padded)), (beta, padded)
