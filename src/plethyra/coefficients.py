@@ -14,7 +14,6 @@ kappa, so it is built once and every kappa of r is read off it.
 from __future__ import annotations
 
 import functools
-import os
 from typing import NamedTuple
 
 from plethyra.partitions import (
@@ -36,7 +35,6 @@ from plethyra.symfunc import (
 )
 
 DEFAULT_MAX_DEGREE = 60
-MAX_DEGREE_ENV = "PLETHYRA_MAX_DEGREE"
 
 
 class DomainError(ValueError):
@@ -46,13 +44,11 @@ class DomainError(ValueError):
 def _check_degree(degree, max_degree):
     """The brute-force ceiling on the degree of s_nu o s_mu, for both the
     single coefficient and the full expansion."""
-    ceiling = max_degree
-    if ceiling is None:
-        ceiling = int(os.environ.get(MAX_DEGREE_ENV, DEFAULT_MAX_DEGREE))
+    ceiling = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     if degree > ceiling:
         raise DomainError(
             f"brute-force plethysm degree {degree} exceeds the ceiling "
-            f"{ceiling} (raise --max-degree or {MAX_DEGREE_ENV})"
+            f"{ceiling} (raise --max-degree)"
         )
 
 

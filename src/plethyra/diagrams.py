@@ -17,7 +17,6 @@ from plethyra.coefficients import _branching_function
 from plethyra.partitions import (
     as_partition,
     canonical_set_partition,
-    coarsenings,
     is_coarser,
     line_set_partitions,
     mobius_coarsenings,
@@ -46,7 +45,7 @@ class PartitionDiagram:
     @classmethod
     def _canonical(cls, r: int, s: int, blocks: tuple) -> "PartitionDiagram":
         """Trusted constructor: ``blocks`` already partition 1..r+s in
-        canonical form, as the coarsening walk emits them."""
+        canonical form, as the coarsening walk and ``compose`` emit them."""
         d = object.__new__(cls)
         d.r, d.s, d.blocks = r, s, blocks
         return d
@@ -143,7 +142,7 @@ class PartitionDiagram:
         """All diagrams whose set-partition is coarser, self included."""
         return [
             PartitionDiagram._canonical(self.r, self.s, blocks)
-            for blocks in coarsenings(self.blocks)
+            for blocks, _ in mobius_coarsenings(self.blocks)
         ]
 
 
@@ -165,7 +164,9 @@ def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> ScaledDiagram:
 
     On the vertices 1..k+r+s, with (k, r) = (d1.r, d1.s), d1 keeps its
     labels and d2's move up by k, so the middle row is k+1..k+r; the
-    southern labels then move down by r.
+    southern labels then move down by r.  Visiting the top row and then
+    the bottom row in order emits each block sorted and the blocks ordered
+    by their minima, which is the canonical form.
     """
     if d1.s != d2.r:
         raise ValueError(f"size mismatch: ({d1.r},{d1.s}) * ({d2.r},{d2.s})")
@@ -183,13 +184,13 @@ def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> ScaledDiagram:
             root = find(block[0] + shift)
             for v in block[1:]:
                 parent[find(v + shift)] = root
-    components = {}
-    for v in range(1, k + r + s + 1):
-        components.setdefault(find(v), []).append(v)
-    # a middle-only component leaves an empty block, which the canonical form drops
-    blocks = [[v if v <= k else v - r for v in comp if v <= k or v > k + r]
-              for comp in components.values()]
-    return ScaledDiagram(PartitionDiagram(k, s, blocks), 0, blocks.count([]))
+    blocks = {}
+    for v in (*range(1, k + 1), *range(k + r + 1, k + r + s + 1)):
+        blocks.setdefault(find(v), []).append(v if v <= k else v - r)
+    loops = len({find(v) for v in range(k + 1, k + r + 1)} - blocks.keys())
+    # tuple() of an iterator over-allocates and shrinks: +0.5 MiB RSS at r = 3
+    diagram = PartitionDiagram._canonical(k, s, tuple([tuple(b) for b in blocks.values()]))
+    return ScaledDiagram(diagram, 0, loops)
 
 
 # ---------------------------------------------------------------------------

@@ -18,29 +18,6 @@ class MarkedPartition(NamedTuple):
     epsilon: tuple
 
 
-class PaddedPartition(NamedTuple):
-    """A partition ``base`` to be padded with a new first row up to ``total``."""
-
-    base: tuple
-    total: int
-
-    @property
-    def valid(self) -> bool:
-        first = self.total - sum(self.base)
-        return first >= (self.base[0] if self.base else 0) and first >= 0
-
-    def resolve(self) -> tuple:
-        if not self.valid:
-            raise ValueError(
-                f"invalid padding: {self.total} - |{self.base}| is smaller "
-                f"than the first part of {self.base}"
-            )
-        first = self.total - sum(self.base)
-        if first == 0:
-            return ()
-        return (first,) + self.base
-
-
 def as_partition(parts: Iterable[int]) -> tuple:
     """Validate and canonicalize a partition given as any iterable."""
     lam = tuple(int(x) for x in parts)
@@ -53,7 +30,11 @@ def as_partition(parts: Iterable[int]) -> tuple:
 
 def pad(alpha: tuple, total: int) -> tuple:
     """The partition alpha[total] = (total - |alpha|, alpha_1, ...)."""
-    return PaddedPartition(alpha, total).resolve()
+    first = total - sum(alpha)
+    if first < (alpha[0] if alpha else 0):
+        raise ValueError(f"invalid padding: {total} - |{alpha}| is smaller "
+                         f"than the first part of {alpha}")
+    return (first,) + tuple(alpha) if first else ()
 
 
 def conjugate(lam: tuple) -> tuple:
@@ -243,11 +224,6 @@ def mobius_coarsenings(part) -> list:
                        for group in grouping)
         out.append((coarse, _merge_mobius(map(len, grouping))))
     return out
-
-
-def coarsenings(part) -> list:
-    """All set-partitions coarser than ``part`` (including itself)."""
-    return [coarse for coarse, _ in mobius_coarsenings(part)]
 
 
 def mobius(fine, coarse) -> int:

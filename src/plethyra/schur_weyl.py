@@ -4,7 +4,8 @@ The symmetric group (or a wreath product subgroup) acts diagonally on the
 left of tensor space; partition diagrams (or ramified diagrams) act on the
 right.  All matrices are sparse with exact integer entries.  The
 faithfulness rank is XOR elimination over GF(2) on the distinct columns of
-the 0/1 diagram actions, certified exact by reaching their count.
+the 0/1 diagram actions, certified exact by reaching their count; the
+columns are read from block valuations, not from the action matrices.
 Commutation is checked as invariance of each ramified generator's matrix
 under relabelling both indices by a wreath generator, which is what the
 two matrix products agreeing amounts to.  Floating point is banned here:
@@ -317,26 +318,26 @@ def _gf2_rank(vectors) -> int:
 def faithfulness_rank(d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> int:
     """Rank of the span of all (r, r)-diagram actions on (C^d)^(x r).
 
-    Each column, keyed by an index pair (src, dest), is the bitmask of the
-    diagrams with a 1 there.  The rank over GF(2) of the distinct columns
-    is at most the rational rank, which is at most their number, so a GF(2)
-    rank that reaches the count is the exact rank.  It always does: the
-    distinct columns are the set-partitions with at most d blocks, and
+    Each column, keyed by the combined multi-index src + dest, is the
+    bitmask of the diagrams constant on its blocks, the ones with a 1 there;
+    each of a diagram's block valuations sets its bit in one column, and no
+    ``diagram_action`` matrix is built.  The rank over GF(2) of the distinct
+    columns is at most the rational rank, which is at most their number, so
+    a GF(2) rank that reaches the count is the exact rank.  It always does:
+    the distinct columns are the set-partitions with at most d blocks, and
     their rows hold the unitriangular zeta matrix of the refinement order.
     """
     if d < 0 or r < 0:
         raise ValueError(f"faithfulness_rank requires d, r >= 0: d = {d}, r = {r}")
-    diagrams = [
-        PartitionDiagram(r, r, blocks) for blocks in line_set_partitions(2 * r)
-    ]
-    estimate = sum(d ** len(diag.blocks) for diag in diagrams)
-    _check_budget(estimate, cap)
+    diagrams = line_set_partitions(2 * r)
+    _check_budget(sum(d ** len(blocks) for blocks in diagrams), cap)
     columns = {}
-    for i, diag in enumerate(diagrams):
+    for i, blocks in enumerate(diagrams):
         bit = 1 << i
-        for src, row in diagram_action(diag, d, r, cap=cap).rows.items():
-            for dest in row:
-                columns[src, dest] = columns.get((src, dest), 0) | bit
+        values = itertools.product(range(1, d + 1), repeat=len(blocks))
+        for of in _valuations(blocks, values, r):
+            key = tuple(of)
+            columns[key] = columns.get(key, 0) | bit
     distinct = set(columns.values())
     rank = _gf2_rank(distinct)
     if rank != len(distinct):

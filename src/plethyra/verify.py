@@ -61,28 +61,25 @@ def check_plethysm_sanity():
 
 
 def _stable_range_cases():
-    betas = [(), (1,), (2,), (1, 1)]
-    for beta in betas:
+    """(beta, m, n, kappa, beta[n], kappa[mn]) at the bounds, where the paddings exist."""
+    for beta in [(), (1,), (2,), (1, 1)]:
         for r in range(1, 5):
-            b = sum(beta)
-            m = r - b + (1 if beta else 0)
+            m = r - sum(beta) + (1 if beta else 0)
             n = r + (beta[0] if beta else 0)
             if m < 1:
                 continue
-            if not partitions.PaddedPartition(beta, n).valid:
-                continue
             for kappa in partitions.partitions_of(r):
-                if not partitions.PaddedPartition(kappa, m * n).valid:
+                try:
+                    padded = partitions.pad(beta, n), partitions.pad(kappa, m * n)
+                except ValueError:
                     continue
-                yield beta, m, n, kappa
+                yield beta, m, n, kappa, *padded
 
 
 def check_stable_range_exact_bounds():
     count = 0
-    for beta, m, n, kappa in _stable_range_cases():
-        brute = coefficients.plethysm_coefficient(
-            partitions.pad(beta, n), (m,), partitions.pad(kappa, m * n)
-        )
+    for beta, m, n, kappa, beta_n, kappa_mn in _stable_range_cases():
+        brute = coefficients.plethysm_coefficient(beta_n, (m,), kappa_mn)
         stable = coefficients.ramified_branching((), beta, kappa)
         _require(brute == stable,
                  f"stable-range mismatch at beta={beta}, m={m}, n={n}, kappa={kappa}: "

@@ -134,13 +134,13 @@ def mobius_by_recursion(fine, coarse):
     """Moebius function of the coarsening order from its definition:
     mu(x, x) = 1, and mu(fine, .) sums to zero over every interval
     [fine, coarse] with fine != coarse.  Arguments in canonical form."""
-    from plethyra.partitions import coarsenings, is_coarser
+    from plethyra.partitions import is_coarser, mobius_coarsenings
 
     if not is_coarser(fine, coarse):
         raise ValueError("mobius requires comparable set-partitions")
     if fine == coarse:
         return 1
-    return -sum(mobius_by_recursion(fine, mid) for mid in coarsenings(fine)
+    return -sum(mobius_by_recursion(fine, mid) for mid, _ in mobius_coarsenings(fine)
                 if mid != coarse and is_coarser(mid, coarse))
 
 

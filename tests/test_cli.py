@@ -186,7 +186,7 @@ class TestGolden:
             capsys, ["plethysm", "--nu", "[3]", "--mu", "[7]", "--max-degree", "20", *lam])
         assert code == 1
         assert lines == ["error: brute-force plethysm degree 21 exceeds the ceiling 20 "
-                         "(raise --max-degree or PLETHYRA_MAX_DEGREE)"]
+                         "(raise --max-degree)"]
 
 
 class TestExitCodes:

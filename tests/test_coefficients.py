@@ -54,12 +54,10 @@ class TestPlethysmCoefficient:
         with pytest.raises(DomainError):
             plethysm_coefficient((10,), (10,), (100,), max_degree=60)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PLETHYRA_MAX_DEGREE", "3")
+    def test_max_degree_override(self):
         with pytest.raises(DomainError):
-            plethysm_coefficient((2,), (2,), (4,))
-        monkeypatch.setenv("PLETHYRA_MAX_DEGREE", "4")
-        assert plethysm_coefficient((2,), (2,), (4,)) == 1
+            plethysm_coefficient((2,), (2,), (4,), max_degree=3)
+        assert plethysm_coefficient((2,), (2,), (4,), max_degree=4) == 1
 
     def test_matches_full_expansion_route(self):
         from plethyra.symfunc import SchurPoly, plethysm

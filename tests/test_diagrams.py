@@ -156,6 +156,19 @@ class TestCompose:
             d2 = PartitionDiagram(r, s, rng.choice(line_set_partitions(r + s)))
             self.assert_matches_search(d1, d2)
 
+    def test_products_pass_the_validating_constructor(self):
+        """compose builds its product through the trusted constructor; every
+        product of the r <= 2 tables and the eight-strand golden product
+        must come back unchanged from the validating one."""
+        pairs = [(d1, d2) for r in (1, 2) for d1 in all_diagrams(r) for d2 in all_diagrams(r)]
+        pairs.append((PartitionDiagram.parse(EIGHT_LEFT), PartitionDiagram.parse(EIGHT_RIGHT)))
+        for d1, d2 in pairs:
+            product = compose(d1, d2).diagram
+            validated = PartitionDiagram(d1.r, d2.s, product.blocks)
+            assert (product.r, product.s, product.blocks) == (
+                validated.r, validated.s, validated.blocks)
+            assert all(type(block) is tuple for block in product.blocks), (d1, d2)
+
     def test_propagating_count_monotone(self):
         diags = all_diagrams(2)
         for d1 in diags:

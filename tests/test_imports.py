@@ -189,8 +189,7 @@ def test_detects_module_level_caches():
 
 # The package functions allowed an unbounded cache; remove a name once its
 # cache is bounded, never add one.
-UNBOUNDED_CACHES = {"partitions_of", "line_set_partitions", "lr_coefficient",
-                    "_schur_times_schur", "generalized_lr", "character", "h_eps"}
+UNBOUNDED_CACHES = {"partitions_of", "line_set_partitions"}
 
 
 def _tail(node):

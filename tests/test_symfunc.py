@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from plethyra.coefficients import expand_plethysm, plethysm_coefficient
 from plethyra.partitions import partitions_no_singletons, partitions_of, std_tableaux_count
@@ -158,12 +158,14 @@ class TestSchurProduct:
             assert (f * g) * h == f * (g * h)
 
     @given(small_partition, small_partition)
-    @settings(max_examples=30, deadline=None)
+    @seed(160)
+    @settings(max_examples=30, derandomize=True, deadline=None)
     def test_commutative_hypothesis(self, mu, nu):
         assert s(mu) * s(nu) == s(nu) * s(mu)
 
     @given(factor_pair())
-    @settings(max_examples=100, deadline=None)
+    @seed(165)
+    @settings(max_examples=100, derandomize=True, deadline=None)
     def test_product_kernel_against_character_oracle(self, pair):
         """Every nonzero c^lam_{mu,nu} and no zero entry, in either order,
         with the f^lam-weighted sum counting the induced module's dimension."""
@@ -234,7 +236,8 @@ class TestBasisTransition:
             assert powersum_to_schur(schur_to_powersum(s(lam))) == s(lam)
 
     @given(small_partition)
-    @settings(max_examples=25, deadline=None)
+    @seed(236)
+    @settings(max_examples=25, derandomize=True, deadline=None)
     def test_round_trip_hypothesis(self, lam):
         assert powersum_to_schur(schur_to_powersum(s(lam))) == s(lam)
 
