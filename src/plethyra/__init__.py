@@ -17,7 +17,6 @@ from plethyra.partitions import (
 from plethyra.symfunc import SchurPoly, h_eps, g_sym, lr_coefficient, plethysm
 from plethyra.coefficients import (
     CoefficientReport,
-    StableQuery,
     cayley_sylvester,
     hook_stable,
     one_row_kappa_stable,
@@ -33,7 +32,6 @@ __all__ = [
     "CoefficientReport",
     "MarkedPartition",
     "SchurPoly",
-    "StableQuery",
     "cayley_sylvester",
     "g_sym",
     "h_eps",

@@ -212,8 +212,8 @@ def dispatch(args):
                       route="branching_function")
     if cmd == "stable":
         beta, kappa = parse_partition(args.beta), parse_partition(args.kappa)
-        query = coefficients.StableQuery(beta, args.m, args.n, kappa)
-        rep = coefficients.stable_plethysm(query, max_degree=args.max_degree)
+        rep = coefficients.stable_plethysm(beta, args.m, args.n, kappa,
+                                           max_degree=args.max_degree)
         return report(
             (f"stable beta={format_partition(beta)} m={args.m} n={args.n} "
              f"kappa={format_partition(kappa)}"),

@@ -23,6 +23,7 @@ from plethyra.partitions import (
     pad,
     cayley_tableaux_count,
     hook_content_series,
+    horizontal_strips,
     stable_two_row_gf,
 )
 from plethyra.symfunc import (
@@ -107,13 +108,6 @@ def ramified_branching(alpha, beta, kappa) -> int:
     return _branching_function(alpha, beta, sum(kappa)).coefficient(kappa)
 
 
-class StableQuery(NamedTuple):
-    beta: tuple
-    m: int
-    n: int
-    kappa: tuple
-
-
 class CoefficientReport(NamedTuple):
     value: int
     route: str  # stable_formula | brute_force
@@ -126,12 +120,10 @@ def bounds_met(beta, m, n, r) -> bool:
     return m >= r - sum(beta) + (1 if beta else 0) and n >= r + (beta[0] if beta else 0)
 
 
-def stable_plethysm(query: StableQuery, max_degree=None) -> CoefficientReport:
+def stable_plethysm(beta, m, n, kappa, max_degree=None) -> CoefficientReport:
     """p(beta[n], (m), kappa[mn]): stable formula inside the bounds, exact
     brute force below them."""
-    beta = as_partition(query.beta)
-    kappa = as_partition(query.kappa)
-    m, n = query.m, query.n
+    beta, kappa = as_partition(beta), as_partition(kappa)
     if m < 0 or n < 0:
         raise DomainError(f"stable requires m >= 0 and n >= 0, got m = {m}, n = {n}")
     r = sum(kappa)
@@ -182,25 +174,6 @@ def _remove_one_box(beta):
     return out
 
 
-def _add_two_boxes_no_column_repeat(pi):
-    """Partitions reachable from pi by adding two boxes, no two per column."""
-    out = set()
-    rows = len(pi) + 2
-    padded = pi + (0,) * (rows - len(pi))
-    for i in range(rows):
-        for j in range(i, rows):
-            parts = list(padded)
-            parts[i] += 1
-            parts[j] += 1
-            cand = tuple(x for x in parts if x)
-            if any(cand[k] < cand[k + 1] for k in range(len(cand) - 1)):
-                continue
-            # horizontal strip: row k of the result fits over row k-1 of pi
-            if all(cand[k] <= padded[k - 1] for k in range(1, len(cand))):
-                out.add(cand)
-    return out
-
-
 def small_r_stable(beta, kappa) -> int:
     """Stable p(beta[n], (m), kappa[mn]) for |kappa| <= |beta| + 1."""
     beta, kappa = as_partition(beta), as_partition(kappa)
@@ -214,11 +187,7 @@ def small_r_stable(beta, kappa) -> int:
         return 0
     if r == b:
         return 1 if kappa == beta else 0
-    count = 0
-    for pi in _remove_one_box(beta):
-        if kappa in _add_two_boxes_no_column_repeat(pi):
-            count += 1
-    return count
+    return sum(kappa in horizontal_strips(pi, 2) for pi in _remove_one_box(beta))
 
 
 def cayley_sylvester(b: int, m: int, n: int, r: int) -> int:
@@ -234,7 +203,7 @@ def cayley_sylvester(b: int, m: int, n: int, r: int) -> int:
 class TightnessReport(NamedTuple):
     """Boundary plethysm values against the stable value minus one.
 
-    Each populated slot is a pair (brute force value, stable value - 1);
+    Each slot is a pair (brute force value, stable value - 1);
     ``m_step`` is the boundary in m (one below the stable range), the two
     n-slots sit at n = r + b - 1 with m at the edge of and inside the
     stable range.
@@ -242,14 +211,14 @@ class TightnessReport(NamedTuple):
 
     b: int
     r: int
-    m_step: tuple | None
-    n_step_at_bound: tuple | None
-    n_step_above_bound: tuple | None
+    m_step: tuple
+    n_step_at_bound: tuple
+    n_step_above_bound: tuple
 
     @property
     def ok(self) -> bool:
         slots = (self.m_step, self.n_step_at_bound, self.n_step_above_bound)
-        return all(s is None or s[0] == s[1] for s in slots)
+        return all(got == want for got, want in slots)
 
 
 def tightness_check(b: int, r: int, max_degree=None) -> TightnessReport:

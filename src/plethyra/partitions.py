@@ -43,6 +43,23 @@ def conjugate(lam: tuple) -> tuple:
     return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
 
 
+def horizontal_strips(alpha: tuple, k: int) -> list:
+    """Every lam containing alpha with lam/alpha a horizontal k-strip,
+    alpha_i <= lam_i <= alpha_{i-1}: the Schur components of s_alpha h_k,
+    each with coefficient 1 (Pieri, Macdonald I.5.16).  Lexicographically
+    descending."""
+    rows = tuple(alpha) + (0,)
+
+    def grow(i, left):
+        if i == len(rows):
+            return [()] if not left else []
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        return [(rows[i] + x,) + rest
+                for x in range(room, -1, -1) for rest in grow(i + 1, left - x)]
+
+    return [lam if lam[-1] else lam[:-1] for lam in grow(0, k)]
+
+
 @functools.lru_cache(maxsize=None)
 def partitions_of(n: int, max_part: int | None = None, min_part: int = 1) -> tuple:
     """All partitions of n with parts in [min_part, max_part], ordered

@@ -9,9 +9,10 @@ changes go through Murnaghan-Nakayama border strips on beta-sets.
 
 The branching functions are class functions.  g_sym and its sum over every
 gamma come from one walk over part sizes that restricts chi^beta to Young
-subgroups, with no plethysm; only the Pieri products s_alpha * h_i that feed
-it are multiplied in the Schur basis.  The sum of h_eps over singleton-free
-eps comes from the series h[h_2 + h_3 + ...].
+subgroups, with no plethysm and no Schur product: the components of the
+Pieri products s_alpha * h_i that feed it are the horizontal strips added to
+alpha.  The sum of h_eps over singleton-free eps comes from the series
+h[h_2 + h_3 + ...].
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 
-from plethyra.partitions import as_partition, partitions_of
+from plethyra.partitions import as_partition, horizontal_strips, partitions_of
 
 
 class SchurPoly:
@@ -545,15 +546,6 @@ def h_eps(eps) -> PowerSumPoly:
     return out
 
 
-def _pieri(alpha, i) -> SchurPoly:
-    """s_alpha * h_i, with no Schur product when either factor is 1."""
-    if not i:
-        return SchurPoly.schur(alpha)
-    if not alpha:
-        return SchurPoly.schur((i,))
-    return SchurPoly.schur(alpha) * SchurPoly.schur((i,))
-
-
 def _branching_walk(alpha, beta, counts=None, degrees=()) -> dict:
     """{degree: sum of the G^alpha_{beta,gamma} of that degree} over the gamma
     with multiplicities ``counts`` ({part size: count}, size 0 for the
@@ -566,8 +558,8 @@ def _branching_walk(alpha, beta, counts=None, degrees=()) -> dict:
     only for alpha nonempty), picking a count c and a cycle type rho |- c;
     W(u) sums over the picks whose cycle types have union u, each step
     weighted by z_{u+rho}/(z_u z_rho) = prod_k C(m_k(u+rho), m_k(rho)) and
-    by A_i(rho) = sum_mu k_mu prod_j p_{rho_j}[s_mu], the k_mu s_mu being
-    the Schur components of s_alpha h_i.  With free counts, a pick is
+    by A_i(rho) = sum_mu prod_j p_{rho_j}[s_mu] over the mu with mu/alpha
+    a horizontal i-strip, each once (Pieri).  With free counts, a pick is
     dropped when the blocks left, each of degree >= |alpha| + i + 1, do
     not fit under max(degrees).
     """
@@ -583,8 +575,8 @@ def _branching_walk(alpha, beta, counts=None, degrees=()) -> dict:
     for i in sorted(counts) if counts is not None else itertools.count(0 if alpha else 1):
         if not states:
             break
-        components = [(k, schur_to_powersum(SchurPoly.schur(mu)))
-                      for mu, k in _pieri(alpha, i).terms.items()]
+        components = [schur_to_powersum(SchurPoly.schur(mu))
+                      for mu in horizontal_strips(alpha, i)]
         factors, steps = {(): one}, defaultdict(list)
         for (u, d), acc in states.items():
             left = b - sum(u)
@@ -598,8 +590,8 @@ def _branching_walk(alpha, beta, counts=None, degrees=()) -> dict:
                     if c < left or final[v]:
                         if rho not in factors:
                             factors[rho] = weighted_sum(
-                                (k, math.prod(map(f.scale_parts, rho), start=one))
-                                for k, f in components)
+                                (1, math.prod(map(f.scale_parts, rho), start=one))
+                                for f in components)
                         w = math.prod(math.comb(v.count(k), rho.count(k)) for k in set(rho))
                         steps[v, e].append((w, acc * factors[rho]))
         states = {}

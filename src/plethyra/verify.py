@@ -146,13 +146,15 @@ def check_block_beta_example():
 
 def composition_table(r):
     """The Bell(2r) (r, r)-diagrams and their product table, by
-    ``diagrams.compose``: ``table[i][j]`` is (loops, index of d_i * d_j)."""
+    ``diagrams.compose``: ``table[i]`` is the row (loops, products) of two
+    int lists, d_i * d_j closing ``loops[j]`` loops into d_{products[j]}."""
     diags = [diagrams.PartitionDiagram(r, r, blocks)
              for blocks in partitions.line_set_partitions(2 * r)]
     index = {d: i for i, d in enumerate(diags)}
-    table = [[(sc.exp_out, index[sc.diagram])
-              for sc in (diagrams.compose(d1, d2) for d2 in diags)]
-             for d1 in diags]
+    table = []
+    for d1 in diags:
+        row = [diagrams.compose(d1, d2) for d2 in diags]
+        table.append(([sc.exp_out for sc in row], [index[sc.diagram] for sc in row]))
     return diags, table
 
 
@@ -184,22 +186,20 @@ def check_associative_by_light(diags, table, generators):
     gens = [index[g] for g in generators]
     reached = frontier = set(gens)
     while frontier:
-        frontier = {table[x][a][1] for x in frontier for a in gens} - reached
+        frontier = {table[x][1][a] for x in frontier for a in gens} - reached
         reached = reached | frontier
     if len(reached) != len(diags):
         raise AssertionError(
             f"{len(generators)} generators reach only {len(reached)} of {len(diags)} diagrams"
         )
     for a in gens:
-        col = [row[a] for row in table]
-        ta = table[a]
-        for x, tx in enumerate(table):
-            t1, xa = col[x]
-            txa = table[xa]
-            for y, (u1, ay) in enumerate(ta):
-                t2, left = txa[y]
-                u2, right = tx[ay]
-                if left != right or t1 + t2 != u1 + u2:
+        loops_a, prods_a = table[a]
+        for x, (loops_x, prods_x) in enumerate(table):
+            t1, xa = loops_x[a], prods_x[a]
+            loops_xa, prods_xa = table[xa]
+            for y, ay in enumerate(prods_a):
+                if (prods_xa[y] != prods_x[ay]
+                        or t1 + loops_xa[y] != loops_a[y] + loops_x[ay]):
                     raise AssertionError(
                         f"associativity fails: (d{x} d{a}) d{y} != d{x} (d{a} d{y})"
                     )

@@ -398,16 +398,16 @@ def compose_by_search(d1, d2):
 
 def associative_by_triples(table):
     """Associativity of a product table over every triple (i, j, k), loop
-    counts included: ``table[i][j]`` is (loops, index of the product).
+    counts included: ``table[i]`` is the row (loops, products), the
+    product of i and j closing ``loops[j]`` loops into ``products[j]``.
     Returns the first failing triple, or None."""
-    for i, ti in enumerate(table):
-        for j, (t1, ij) in enumerate(ti):
-            tij, tj = table[ij], table[j]
+    for i, (loops_i, prods_i) in enumerate(table):
+        for j, (t1, ij) in enumerate(zip(loops_i, prods_i)):
+            loops_ij, prods_ij = table[ij]
+            loops_j, prods_j = table[j]
             for k in range(len(table)):
-                t2, left = tij[k]
-                u1, jk = tj[k]
-                u2, right = ti[jk]
-                if left != right or t1 + t2 != u1 + u2:
+                jk = prods_j[k]
+                if prods_ij[k] != prods_i[jk] or t1 + loops_ij[k] != loops_j[k] + loops_i[jk]:
                     return i, j, k
     return None
 

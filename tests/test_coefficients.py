@@ -4,7 +4,6 @@ from hypothesis import given, seed, settings, strategies as st
 from plethyra.coefficients import (
     CoefficientReport,
     DomainError,
-    StableQuery,
     bounds_met,
     cayley_sylvester,
     expand_plethysm,
@@ -132,16 +131,16 @@ class TestRamifiedBranching:
                 ramified_branching_by_summands(alpha, beta, kappa)), kappa
 
     def test_branching_function_multiplies_no_schur_pair(self):
-        """F is assembled from class functions by one walk over part sizes:
-        building it for an empty alpha leaves the Schur-product cache empty,
-        and for alpha empty or (1) it takes no generalized LR coefficient
+        """F is assembled from class functions by one walk over part sizes,
+        whose Pieri components are horizontal strips: building it for alpha
+        empty or (1) takes no Schur product, no generalized LR coefficient
         and no cached plethysm."""
         for cached in (_branching_function, _schur_times_schur, generalized_lr,
                        _plethysm_expansion):
             cached.cache_clear()
         _branching_function((), (2, 1), 12)
-        assert _schur_times_schur.cache_info().currsize == 0
         _branching_function((1,), (2, 1), 10)
+        assert _schur_times_schur.cache_info().currsize == 0
         assert generalized_lr.cache_info().currsize == 0
         assert _plethysm_expansion.cache_info().currsize == 0
 
@@ -149,23 +148,23 @@ class TestRamifiedBranching:
 class TestStablePlethysm:
     def test_stable_route(self):
         for m, n in [(3, 7), (4, 8), (5, 9)]:
-            report = stable_plethysm(StableQuery((2, 1), m, n, (5,)))
+            report = stable_plethysm((2, 1), m, n, (5,))
             assert report == CoefficientReport(2, "stable_formula", True)
 
     def test_brute_route_below_bounds(self):
-        report = stable_plethysm(StableQuery((1,), 2, 3, (3,)))
+        report = stable_plethysm((1,), 2, 3, (3,))
         assert report.route == "brute_force" and not report.bounds_met
         assert report.value == plethysm_coefficient((2, 1), (2,), pad((3,), 6))
 
     def test_empty_beta_row_kappa(self):
         r = 4
-        report = stable_plethysm(StableQuery((), r, r, (r,)))
+        report = stable_plethysm((), r, r, (r,))
         assert report.bounds_met
         assert report.value == len(partitions_no_singletons(r))
 
     def test_invalid_padding(self):
         with pytest.raises(DomainError):
-            stable_plethysm(StableQuery((2, 1), 2, 2, (5,)))
+            stable_plethysm((2, 1), 2, 2, (5,))
 
     def test_bounds_predicate(self):
         assert bounds_met((2, 1), 3, 7, 5)

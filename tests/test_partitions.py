@@ -8,6 +8,7 @@ from plethyra.partitions import (
     cayley_tableaux_count,
     conjugate,
     hook_content_series,
+    horizontal_strips,
     is_coarser,
     line_set_partitions,
     marked_partitions,
@@ -30,6 +31,7 @@ from oracles import (
     mobius_by_recursion,
     ssyt_monomials,
 )
+from plethyra.symfunc import _schur_times_schur
 
 partition_strategy = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -56,6 +58,20 @@ class TestPartitionsOf:
         for n in range(9):
             parts = partitions_of(n)
             assert list(parts) == sorted(parts, reverse=True)
+
+
+class TestHorizontalStrips:
+    @pytest.mark.parametrize("k", range(8))
+    def test_equal_to_the_lr_product_by_a_row(self, k):
+        """The strips are the Schur components of s_alpha * s_(k), each with
+        coefficient 1, read here from LR fillings (Pieri's rule)."""
+        for n in range(8):
+            for alpha in partitions_of(n):
+                strips = horizontal_strips(alpha, k)
+                assert len(set(strips)) == len(strips), (alpha, k)
+                assert strips == sorted(strips, reverse=True), (alpha, k)
+                row = (k,) if k else ()
+                assert dict.fromkeys(strips, 1) == _schur_times_schur(alpha, row), (alpha, k)
 
 
 class TestNoSingletons:

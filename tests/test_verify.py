@@ -50,15 +50,14 @@ class TestLightAssociativity:
         rng = random.Random(1961)
         for case in range(40):
             i, j = rng.randrange(len(diags)), rng.randrange(len(diags))
-            loops, ij = table[i][j]
+            loops, products = (list(half) for half in table[i])
             if case % 2:
-                entry = (loops + 1, ij)
+                loops[j] += 1
             else:
-                entry = (loops, rng.choice([x for x in range(len(diags)) if x != ij]))
+                products[j] = rng.choice([x for x in range(len(diags)) if x != products[j]])
             bad = list(table)
-            bad[i] = list(table[i])
-            bad[i][j] = entry
-            assert associative_by_triples(bad) is not None, (i, j, entry)
+            bad[i] = (loops, products)
+            assert associative_by_triples(bad) is not None, (i, j, loops[j], products[j])
             with pytest.raises(AssertionError):
                 check_associative_by_light(diags, bad, gens)
 
