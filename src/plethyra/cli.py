@@ -271,25 +271,25 @@ def dispatch(args):
 
 
 def dispatch_diagram(args):
-    if args.compose:
+    if args.compose is not None:
         d1 = diagrams.PartitionDiagram.parse(args.compose[0])
         d2 = diagrams.PartitionDiagram.parse(args.compose[1])
         sc = diagrams.compose(d1, d2)
         return report(f"compose {d1.format()} * {d2.format()}", sc.diagram.format(),
                       route="closed_form", delta_exponent=sc.exp_out)
-    if args.ramified_compose:
+    if args.ramified_compose is not None:
         r1 = diagrams.RamifiedDiagram.parse(args.ramified_compose[0])
         r2 = diagrams.RamifiedDiagram.parse(args.ramified_compose[1])
         sc = diagrams.ramified_compose(r1, r2)
         return report(f"ramified compose {r1.format()} * {r2.format()}",
                       sc.diagram.format(), route="closed_form",
                       delta_in_exponent=sc.exp_in, delta_out_exponent=sc.exp_out)
-    if args.prop_data:
+    if args.prop_data is not None:
         d = diagrams.PartitionDiagram.parse(args.prop_data)
         count, perm = d.propagating_data()
         return report(f"prop-data {d.format()}", count, route="closed_form",
                       permutation=list(perm))
-    if args.prop_index:
+    if args.prop_index is not None:
         rd = diagrams.RamifiedDiagram.parse(args.prop_index)
         return report(f"prop-index {rd.format()}", list(diagrams.propagating_index(rd)),
                       route="closed_form")

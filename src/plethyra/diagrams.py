@@ -131,13 +131,6 @@ class PartitionDiagram:
         perm = tuple(rank[min(v for v in b if v > self.r)] for b in by_north)
         return len(props), perm
 
-    def relabel_north(self, perm) -> "PartitionDiagram":
-        """Apply a permutation (one-line form) to the northern labels."""
-        move = lambda v: perm[v - 1] if v <= self.r else v
-        return PartitionDiagram(
-            self.r, self.s, [tuple(move(v) for v in b) for b in self.blocks]
-        )
-
     def coarser_diagrams(self):
         """All diagrams whose set-partition is coarser, self included."""
         return [
@@ -208,26 +201,6 @@ def orbit_collapse(x: PartitionDiagram) -> dict:
         PartitionDiagram._canonical(x.r, x.s, blocks): mu
         for blocks, mu in mobius_coarsenings(x.blocks)
     }
-
-
-def cell_action(v: PartitionDiagram, d: PartitionDiagram):
-    """Right action of d on a module basis diagram v with k propagating blocks.
-
-    Returns None when the product drops below k propagating blocks;
-    otherwise (delta exponent, untwisting permutation tau, canonical
-    diagram with identity permutation).
-    """
-    k = v.r
-    count, perm = v.propagating_data()
-    if count != k or perm != tuple(range(1, k + 1)):
-        raise ValueError("v must have k propagating blocks and trivial permutation")
-    scaled = compose(v, d)
-    result = scaled.diagram
-    new_count, tau = result.propagating_data()
-    if new_count < k:
-        return None
-    canonical = result.relabel_north(tau)
-    return scaled.exp_out, tau, canonical
 
 
 # ---------------------------------------------------------------------------
@@ -381,153 +354,13 @@ def theta_poset(r: int, bound: int = DEFAULT_THETA_BOUND):
     return elements, below
 
 
-def theta_leq(t1, t2, r: int, bound: int = DEFAULT_THETA_BOUND) -> bool:
-    _, below = theta_poset(r, bound)
-    return t1 == t2 or t1 in below[t2]
-
-
 # ---------------------------------------------------------------------------
-# Canonical elements.
-
-
-def e_theta(theta, r: int) -> RamifiedDiagram:
-    """The quasi-idempotent diagram attached to a propagating index.
-
-    Block j spans max(a_j, 1) consecutive positions on both rows, holding
-    a_j vertical inner pairs (inner singletons when a_j = 0); leftover
-    positions are outer singletons.
-    """
-    width = sum(max(a, 1) for a in theta)
-    if width > r:
-        raise ValueError(f"index {theta} needs {width} strands, only r = {r}")
-    inner, outer = [], []
-    pos = 0
-    for a in theta:
-        w = max(a, 1)
-        cols = list(range(pos + 1, pos + w + 1))
-        outer.append(tuple(cols + [r + c for c in cols]))
-        if a == 0:
-            inner.extend([(cols[0],), (r + cols[0],)])
-        else:
-            inner.extend((c, r + c) for c in cols)
-        pos += w
-    for c in range(pos + 1, r + 1):
-        outer.extend([(c,), (r + c,)])
-        inner.extend([(c,), (r + c,)])
-    return RamifiedDiagram.from_blocks(r, r, inner, outer)
-
-
-def wreath_diagram(sigmas, pi, a: int, b: int) -> RamifiedDiagram:
-    """The ramified (ab, ab)-diagram of (sigma_1, ..., sigma_b; pi).
-
-    Outer block j joins northern positions (j-1)a+1 .. ja to the southern
-    positions of block pi(j); inner pairs send (j-1)a+i to
-    (pi(j)-1)a + sigma_j(i).  Permutations are one-line, 1-based.
-    """
-    if len(sigmas) != b or any(len(s) != a for s in sigmas):
-        raise ValueError("need b permutations of a letters")
-    if sorted(pi) != list(range(1, b + 1)):
-        raise ValueError("pi must be a permutation of 1..b")
-    r = a * b
-    inner, outer = [], []
-    for j in range(1, b + 1):
-        north = [(j - 1) * a + i for i in range(1, a + 1)]
-        south = [r + (pi[j - 1] - 1) * a + i for i in range(1, a + 1)]
-        outer.append(tuple(north + south))
-        for i in range(1, a + 1):
-            inner.append(((j - 1) * a + i, r + (pi[j - 1] - 1) * a + sigmas[j - 1][i - 1]))
-    return RamifiedDiagram.from_blocks(r, r, inner, outer)
-
-
-def horizontal_concat(r1: RamifiedDiagram, r2: RamifiedDiagram) -> RamifiedDiagram:
-    """Place r2 to the right of r1, relabelling its vertices."""
-
-    def shift(d: PartitionDiagram, dr: int, ds: int, new_r: int):
-        out = []
-        for block in d.blocks:
-            out.append(
-                tuple(
-                    v + dr if v <= d.r else new_r + (v - d.r) + ds
-                    for v in block
-                )
-            )
-        return out
-
-    r = r1.r + r2.r
-    s = r1.s + r2.s
-    inner = shift(r1.inner, 0, 0, r) + shift(r2.inner, r1.r, r1.s, r)
-    outer = shift(r1.outer, 0, 0, r) + shift(r2.outer, r1.r, r1.s, r)
-    return RamifiedDiagram.from_blocks(r, s, inner, outer)
-
-
-def v_xy(x: int, y: int) -> RamifiedDiagram:
-    """Single-outer-block elementary diagram with x inner pairs and y
-    southern inner singletons; (max(1,x), x+y)-sized for (x,y) != (0,0)."""
-    if (x, y) == (0, 0):
-        raise ValueError("v_xy undefined at (0, 0)")
-    r = max(1, x)
-    s = x + y
-    inner = [(i, r + i) for i in range(1, x + 1)]
-    if x == 0:
-        inner.append((1,))
-    inner.extend((r + j,) for j in range(x + 1, s + 1))
-    outer = [tuple(range(1, r + 1)) + tuple(range(r + 1, r + s + 1))]
-    return RamifiedDiagram.from_blocks(r, s, inner, outer)
-
-
-def v_empty(y: int) -> RamifiedDiagram:
-    """The (0, y) elementary diagram: one outer block of southern singletons."""
-    inner = [(j,) for j in range(1, y + 1)]
-    outer = [tuple(range(1, y + 1))]
-    return RamifiedDiagram.from_blocks(0, y, inner, outer)
-
-
-def v_elementary(gamma, epsilon, a: int = 0) -> RamifiedDiagram:
-    """The diagram v_{gamma, epsilon} by horizontal concatenation.
-
-    gamma may contain zeros (each zero contributes a pair-only or
-    singleton block depending on a); epsilon parts become non-propagating
-    blocks.
-    """
-    pieces = [v_xy(a, g) for g in gamma]
-    pieces += [v_empty(e) for e in epsilon]
-    if not pieces:
-        return RamifiedDiagram.from_blocks(0, 0, [], [])
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = horizontal_concat(out, piece)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Depth radical, depth quotient basis, and types.
+# Depth quotient basis and types.
 
 
 class DiagramType(NamedTuple):
     gamma: tuple  # propagating type, zeros allowed when inner pairs exist
     epsilon: tuple  # non-propagating type, all parts >= 2
-
-
-def _rectangular_index(rd: RamifiedDiagram):
-    index = propagating_index(rd)
-    if index and len(set(index)) > 1:
-        raise ValueError(f"diagram has non-rectangular propagating index {index}")
-    a = index[0] if index else 0
-    return a, len(index)
-
-
-def is_depth_radical(rd: RamifiedDiagram) -> bool:
-    """True when the inner partition joins two southern vertices or the
-    outer partition has a southern singleton block."""
-    _rectangular_index(rd)
-    r = rd.r
-    for block in rd.inner.blocks:
-        if sum(1 for v in block if v > r) >= 2:
-            return True
-    for block in rd.outer.blocks:
-        if len(block) == 1 and block[0] > r:
-            return True
-    return False
 
 
 def type_of(rd: RamifiedDiagram) -> DiagramType:

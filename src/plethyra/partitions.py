@@ -171,13 +171,6 @@ def hook_content_series(lam: tuple, top: int, nvars: int | None = None) -> list:
     return series
 
 
-def ssyt_weight_sets(beta: tuple, p: int) -> int:
-    """Number of semistandard beta-tableaux with entries >= 1 summing to p."""
-    if p < sum(beta):
-        return 0
-    return hook_content_series(beta, p - sum(beta))[-1]
-
-
 def cayley_tableaux_count(m: int, n: int, k: int, r: int) -> int:
     """Count semistandard (n-k, k)-tableaux, entries in {0..m}, entry sum r
     (0 for r < 0 or r > mn)."""
@@ -223,36 +216,20 @@ def is_coarser(fine, coarse) -> bool:
     return all(len({owner[v] for v in block}) == 1 for block in fine)
 
 
-def _merge_mobius(sizes) -> int:
-    """mu of merging blocks in groups of the given sizes: the product of
-    (-1)^(k-1) (k-1)! over the groups, k blocks each (Rota 1964)."""
-    return math.prod((-1) ** (k - 1) * math.factorial(k - 1) for k in sizes)
-
-
 def mobius_coarsenings(part) -> list:
     """Every set-partition coarser than ``part`` (itself included), in canonical
     form, with mu(part, coarse).  A coarsening merges the blocks of ``part``
-    along a set-partition of their indices; mu is read off its group sizes."""
+    along a set-partition of their indices; mu is read off its group sizes,
+    (-1)^(k-1) (k-1)! for each group of k blocks (Rota 1964)."""
     blocks = canonical_set_partition(part)
     out = []
     for grouping in line_set_partitions(len(blocks)):
         # groups are ordered by their first index, so the merged blocks by minima
         coarse = tuple(tuple(sorted(v for i in group for v in blocks[i - 1]))
                        for group in grouping)
-        out.append((coarse, _merge_mobius(map(len, grouping))))
+        mu = math.prod((-1) ** (len(g) - 1) * math.factorial(len(g) - 1) for g in grouping)
+        out.append((coarse, mu))
     return out
-
-
-def mobius(fine, coarse) -> int:
-    """Moebius function of the coarsening order by the product formula:
-    k blocks of ``fine`` inside one block of ``coarse`` give (-1)^(k-1) (k-1)!."""
-    if not is_coarser(fine, coarse):
-        raise ValueError("mobius requires comparable set-partitions")
-    owner = {v: idx for idx, block in enumerate(coarse) for v in block}
-    inside = [0] * len(coarse)
-    for block in fine:
-        inside[owner[block[0]]] += 1
-    return _merge_mobius(inside)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +256,3 @@ def stable_two_row_gf(b: int, n: int) -> list:
         for i in range(j, n + 1):
             series[i] += series[i - j]
     return series
-
-
-def bell_number(q: int) -> int:
-    """Number of set-partitions of a q-element set."""
-    row = [1]
-    for _ in range(q):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]

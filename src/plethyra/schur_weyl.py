@@ -18,7 +18,7 @@ import itertools
 import operator
 
 from plethyra.diagrams import PartitionDiagram, RamifiedDiagram
-from plethyra.partitions import canonical_set_partition, is_coarser, line_set_partitions
+from plethyra.partitions import line_set_partitions
 
 DEFAULT_ENTRY_CAP = 10**6
 
@@ -127,17 +127,6 @@ def _valuations(blocks, assignments, r: int):
         yield of
 
 
-def _block_action(diag: PartitionDiagram, d: int, r: int, cap: int, name: str,
-                  assignments) -> SparseExactMatrix:
-    """The 0/1 matrix keyed (src, dest) with one entry per assignment of
-    values in 1..d to the blocks of ``diag``."""
-    if (diag.r, diag.s) != (r, r):
-        raise ValueError(f"{name} needs an (r, r)-diagram")
-    _check_budget(d ** len(diag.blocks), cap)
-    return SparseExactMatrix({(tuple(of[:r]), tuple(of[r:])): 1
-                              for of in _valuations(diag.blocks, assignments, r)})
-
-
 def diagram_action(diag: PartitionDiagram, d: int, r: int,
                    cap: int = DEFAULT_ENTRY_CAP) -> SparseExactMatrix:
     """Right action of a diagram basis element on (C^d)^(x r).
@@ -146,20 +135,12 @@ def diagram_action(diag: PartitionDiagram, d: int, r: int,
     multi-index is constant on every block; one free value per block, so
     the matrix has d^(number of blocks) entries.
     """
-    return _block_action(diag, d, r, cap, "diagram_action",
-                         itertools.product(range(1, d + 1), repeat=len(diag.blocks)))
-
-
-def orbit_action(diag: PartitionDiagram, d: int, r: int,
-                 cap: int = DEFAULT_ENTRY_CAP) -> SparseExactMatrix:
-    """Right action of an orbit basis element: block values must be distinct."""
-    return _block_action(diag, d, r, cap, "orbit_action",
-                         itertools.permutations(range(1, d + 1), len(diag.blocks)))
-
-
-def flatten_index(i: int, j: int, m: int) -> int:
-    """The identification v^j_i = e^((j-1)m + i)."""
-    return (j - 1) * m + i
+    if (diag.r, diag.s) != (r, r):
+        raise ValueError("diagram_action needs an (r, r)-diagram")
+    _check_budget(d ** len(diag.blocks), cap)
+    values = itertools.product(range(1, d + 1), repeat=len(diag.blocks))
+    return SparseExactMatrix({(tuple(of[:r]), tuple(of[r:])): 1
+                              for of in _valuations(diag.blocks, values, r)})
 
 
 def _role_blocks(rd: RamifiedDiagram, swap_roles: bool):
@@ -177,7 +158,7 @@ def ramified_action(rd: RamifiedDiagram, m: int, n: int, r: int,
 
     Row convention, keys (src, dest).  The inner partition constrains
     subscripts (range m) and the outer partition superscripts (range n);
-    indices are flattened through v^j_i = e^((j-1)m+i) (``flatten_index``),
+    indices are flattened through v^j_i = e^((j-1)m+i),
     as the subscript plus the superscript's offset (j-1)m.  ``swap_roles``
     deliberately exchanges the two rules and serves as a negative control.
     """
@@ -344,56 +325,3 @@ def faithfulness_rank(d: int, r: int, cap: int = DEFAULT_ENTRY_CAP) -> int:
         raise ValueError(f"uncertified rank: GF(2) rank {rank} is below the {len(distinct)} "
                          f"distinct columns at d = {d}, r = {r}; arithmetic bug upstream")
     return rank
-
-
-# ---------------------------------------------------------------------------
-# Value types of pure tensors.
-
-
-def value_type(index) -> tuple:
-    """Set-partition of positions grouping equal values."""
-    groups = {}
-    for pos, val in enumerate(index, start=1):
-        groups.setdefault(val, []).append(pos)
-    return canonical_set_partition(groups.values())
-
-
-def ramified_value_type(index) -> tuple:
-    """(R, S) for a tuple of (subscript, superscript) pairs: S groups equal
-    superscripts, R groups positions equal in both."""
-    s_part = value_type(tuple(j for _, j in index))
-    r_part = value_type(tuple((i, j) for i, j in index))
-    return r_part, s_part
-
-
-def minimal_r_tuple(r_part, s_part) -> tuple:
-    """Left-to-right minimal subscripts realizing the ramified value
-    type (R, S): a position copies its earlier R-partner, otherwise takes
-    the least value unused by earlier R-classes inside its S-block."""
-    if not is_coarser(r_part, s_part):
-        raise ValueError("minimal_r_tuple requires R to refine S")
-    r_lookup = {}
-    for block in r_part:
-        for v in block:
-            r_lookup[v] = block
-    s_lookup = {}
-    for block in s_part:
-        for v in block:
-            s_lookup[v] = block
-    n = sum(len(b) for b in r_part)
-    out = {}
-    for pos in range(1, n + 1):
-        earlier = [q for q in r_lookup[pos] if q < pos]
-        if earlier:
-            out[pos] = out[earlier[0]]
-            continue
-        used = {
-            out[q]
-            for q in s_lookup[pos]
-            if q < pos and r_lookup[q] is not r_lookup[pos]
-        }
-        val = 1
-        while val in used:
-            val += 1
-        out[pos] = val
-    return tuple(out[pos] for pos in range(1, n + 1))

@@ -5,7 +5,8 @@ monomial substitution, tableaux by brute enumeration, Moebius by
 recursive inversion, LR coefficients through character sums, branching
 functions by generalized LR coefficients over pieces, commutation by
 matrix products, ranks by dense elimination, associativity over every
-triple.
+triple, orbit actions over every multi-index, the depth radical from its
+definition.
 """
 
 import itertools
@@ -428,3 +429,33 @@ def v0_choices_by_rejection(r, a, b):
                 continue
             for pairing in itertools.product(*(itertools.combinations(bl, a) for bl in prop)):
                 yield prop, pairing, rest
+
+
+def is_depth_radical(rd):
+    """True when the inner partition joins two southern vertices or the
+    outer partition has a southern singleton block.  Defined only for a
+    rectangular propagating index (a^b)."""
+    from plethyra.diagrams import propagating_index
+
+    index = propagating_index(rd)
+    if len(set(index)) > 1:
+        raise ValueError(f"diagram has non-rectangular propagating index {index}")
+    return (any(sum(v > rd.r for v in block) >= 2 for block in rd.inner.blocks)
+            or any(len(block) == 1 and block[0] > rd.r for block in rd.outer.blocks))
+
+
+def orbit_action(diag, d, r):
+    """Right action of an orbit basis element on (C^d)^(x r), keys
+    (src, dest), from its definition: 1 where the positions of equal values
+    in the combined multi-index src + dest are exactly the blocks of
+    ``diag``, by a pass over all d^(2r) multi-indices."""
+    from plethyra.schur_weyl import SparseExactMatrix
+
+    entries = {}
+    for index in itertools.product(range(1, d + 1), repeat=2 * r):
+        positions = {}
+        for pos, val in enumerate(index, 1):
+            positions.setdefault(val, []).append(pos)
+        if sorted(map(tuple, positions.values())) == list(diag.blocks):
+            entries[(index[:r], index[r:])] = 1
+    return SparseExactMatrix(entries)

@@ -127,6 +127,19 @@ class TestSubcommands:
         assert report["delta_exponent"] == 0
         assert report["value"] == "{1}|{2,2'}|{1'}"
 
+    @pytest.mark.parametrize("flag,text,code", [
+        ("--prop-data", "{}", 0), ("--prop-data", "", 0), ("--prop-index", "", 1),
+    ], ids=["prop-data-braces", "prop-data-empty", "prop-index-empty"])
+    def test_empty_diagram_value(self, capsys, flag, text, code):
+        # an empty value still selects its action, not --orbit-expand
+        assert run(["diagram", flag, text, "--format", "json"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["value"] == 0
+        else:
+            lines = captured.err.strip().splitlines()
+            assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_dq_check(self, capsys):
         code, report = run_json(capsys, ["dq-check", "--r", "4", "--beta", "[2]"])
         assert code == 0 and report["match"] is True

@@ -9,28 +9,19 @@ from plethyra.diagrams import (
     RamifiedDiagram,
     _v0_choices,
     _v0_count,
-    cell_action,
     compose,
     dq_dimension_check,
-    e_theta,
-    horizontal_concat,
-    is_depth_radical,
     orbit_collapse,
     orbit_expand,
     propagating_index,
     ramified_compose,
     theta_elements,
-    theta_leq,
     theta_poset,
     type_of,
     v0_basis,
-    v_elementary,
-    v_empty,
-    v_xy,
-    wreath_diagram,
 )
 from plethyra.partitions import line_set_partitions, std_tableaux_count
-from oracles import compose_by_search, v0_choices_by_rejection
+from oracles import compose_by_search, is_depth_radical, v0_choices_by_rejection
 
 EIGHT_LEFT = "{1,2,4,2',5'}|{3}|{5,6,7,8'}|{8,3',4',6',7'}|{1'}"
 EIGHT_RIGHT = "{1}|{2,1',2'}|{3,4'}|{4,3'}|{5,5',6'}|{6}|{7,8,7',8'}"
@@ -231,44 +222,6 @@ class TestOrbitBasis:
                         assert x == PartitionDiagram(r, q - r, x.blocks)
 
 
-class TestCellAction:
-    V = PartitionDiagram.parse("{1,1',3'}|{2,2',5'}|{3,4'}")
-
-    def test_identity(self):
-        exp, tau, result = cell_action(self.V, PartitionDiagram.identity(5))
-        assert exp == 0 and tau == (1, 2, 3) and result == self.V
-
-    def test_untwisting(self):
-        # swap the last two southern strands: the permutation twists to (2 3)
-        swap = PartitionDiagram.from_permutation((1, 2, 4, 3, 5))
-        out = cell_action(self.V, swap)
-        assert out is not None
-        exp, tau, result = out
-        assert exp == 0
-        assert result.propagating_data()[1] == (1, 2, 3)
-
-    def test_killed_when_propagating_drops(self):
-        killer = PartitionDiagram.parse("{1,2,1',2'}|{3,3'}|{4,4'}|{5,5'}")
-        assert cell_action(self.V, killer) is None
-
-    def test_canonical_output_random(self):
-        rng = random.Random(3)
-        diags = all_diagrams(3)  # acting on a (2, 3) module diagram
-        v = PartitionDiagram.parse("{1,1'}|{2,2',3'}")
-        for d in rng.sample(diags, 60):
-            out = cell_action(v, d)
-            if out is None:
-                continue
-            _, _, result = out
-            count, pi = result.propagating_data()
-            assert count == 2 and pi == (1, 2)
-
-    def test_rejects_twisted_input(self):
-        twisted = PartitionDiagram.parse("{1,2'}|{2,1'}")
-        with pytest.raises(ValueError):
-            cell_action(twisted, PartitionDiagram.identity(2))
-
-
 class TestRamifiedCompose:
     def test_inner_cut_square(self):
         d3 = RamifiedDiagram.from_blocks(2, 2, [(1, 3), (2,), (4,)], [(1, 3), (2, 4)])
@@ -321,21 +274,23 @@ class TestRamifiedCompose:
 
     def test_index_monotone_exhaustive_r2(self):
         rams = all_ramified(2)
+        below = theta_poset(2)[1]
         for r1 in rams:
             for r2 in rams:
                 product = ramified_compose(r1, r2).diagram
                 idx = propagating_index(product)
                 for other in (propagating_index(r1), propagating_index(r2)):
-                    assert theta_leq(idx, other, 2)
+                    assert idx == other or idx in below[other]
 
     def test_index_monotone_random_r3(self):
         rng = random.Random(31)
         rams = all_ramified(3)
+        below = theta_poset(3)[1]
         for _ in range(250):
             r1, r2 = rng.choice(rams), rng.choice(rams)
             idx = propagating_index(ramified_compose(r1, r2).diagram)
-            assert theta_leq(idx, propagating_index(r1), 3)
-            assert theta_leq(idx, propagating_index(r2), 3)
+            for other in (propagating_index(r1), propagating_index(r2)):
+                assert idx == other or idx in below[other]
 
 
 class TestPropagatingIndex:
@@ -357,13 +312,10 @@ class TestPropagatingIndex:
         for rd, index in examples:
             assert propagating_index(rd) == index
 
-    def test_e_theta_reproduces_index(self):
-        for r in (2, 3, 4):
-            for theta in theta_elements(r):
-                assert propagating_index(e_theta(theta, r)) == theta
-
     def test_ten_strand_example(self):
-        rd = e_theta((2, 2, 1, 0), 10)
+        rd = RamifiedDiagram.parse(
+            "{1,1'}|{2,2'}|{3,3'}|{4,4'}|{5,5'}|{6}|{7}|{8}|{9}|{10}|{6'}|{7'}|{8'}|{9'}|{10'}"
+            "@{1,2,1',2'}|{3,4,3',4'}|{5,5'}|{6,6'}|{7}|{8}|{9}|{10}|{7'}|{8'}|{9'}|{10'}")
         assert propagating_index(rd) == (2, 2, 1, 0)
 
 
@@ -392,52 +344,27 @@ class TestThetaPoset:
 
 
 class TestElementaryDiagrams:
-    def test_e_theta_thirteen(self):
-        rd = e_theta((3, 2, 2, 1, 0, 0), 13)
-        assert propagating_index(rd) == (3, 2, 2, 1, 0, 0)
-        # two outer-propagating blocks contain no inner-propagating pair
-        inner_props = [set(b) for b in rd.inner.propagating_blocks()]
-        pairless = [
-            b for b in rd.outer.blocks
-            if rd.outer.is_propagating(b)
-            and not any(p <= set(b) for p in inner_props)
-        ]
-        assert len(pairless) == 2
-
-    def test_wreath_diagram_blocks(self):
-        # ((12), 1, 1; 3-cycle) at a = 2, b = 3, from the embedding formula
-        rd = wreath_diagram([(2, 1), (1, 2), (1, 2)], (2, 3, 1), 2, 3)
-        inner = set(rd.inner.blocks)
-        assert (1, 6 + 4) in inner and (2, 6 + 3) in inner
-        assert (3, 6 + 5) in inner and (4, 6 + 6) in inner
-        assert (5, 6 + 1) in inner and (6, 6 + 2) in inner
-        outer = set(rd.outer.blocks)
-        assert (1, 2, 9, 10) in outer and (3, 4, 11, 12) in outer and (5, 6, 7, 8) in outer
-
-    def test_wreath_identity(self):
-        rd = wreath_diagram([(1, 2)] * 2, (1, 2), 2, 2)
-        assert rd.inner == PartitionDiagram.identity(4)
-
-    def test_concat_segments(self):
-        ve = v_elementary((2, 2), (3,), a=2)
-        manual = horizontal_concat(horizontal_concat(v_xy(2, 2), v_xy(2, 2)), v_empty(3))
-        assert ve == manual
+    # v_{gamma, epsilon} with a inner pairs per propagating block: one outer
+    # block per part of gamma, holding a inner pairs and gamma_j southern
+    # inner singletons, then one non-propagating block per part of epsilon
 
     def test_v_elementary_type(self):
-        ve = v_elementary((2, 2, 0), (3, 2), a=2)
+        ve = RamifiedDiagram.parse(  # gamma (2, 2, 0), epsilon (3, 2), a = 2
+            "{1,1'}|{2,2'}|{3,5'}|{4,6'}|{5,9'}|{6,10'}|{3'}|{4'}|{7'}|{8'}|{11'}|{12'}"
+            "|{13'}|{14'}|{15'}@{1,2,1',2',3',4'}|{3,4,5',6',7',8'}|{5,6,9',10'}"
+            "|{11',12',13'}|{14',15'}")
         assert type_of(ve) == DiagramType((2, 2, 0), (3, 2))
         assert propagating_index(ve) == (2, 2, 2)
 
     def test_v_elementary_types_sweep(self):
-        for gamma, eps, a in [
-            ((1, 0), (2,), 1),
-            ((2, 1), (), 1),
-            ((3, 0), (), 1),
-            ((1, 1, 1), (2,), 0),
+        for text, gamma, eps in [
+            ("{1,1'}|{2,3'}|{2'}|{4'}|{5'}@{1,1',2'}|{2,3'}|{4',5'}", (1, 0), (2,)),
+            ("{1,1'}|{2,4'}|{2'}|{3'}|{5'}@{1,1',2',3'}|{2,4',5'}", (2, 1), ()),
+            ("{1,1'}|{2,5'}|{2'}|{3'}|{4'}@{1,1',2',3',4'}|{2,5'}", (3, 0), ()),
+            ("{1}|{2}|{3}|{1'}|{2'}|{3'}|{4'}|{5'}@{1,1'}|{2,2'}|{3,3'}|{4',5'}",
+             (1, 1, 1), (2,)),
         ]:
-            gamma_pos = tuple(x for x in gamma if x) if a == 0 else gamma
-            ve = v_elementary(gamma_pos if a == 0 else gamma, eps, a=a)
-            assert type_of(ve) == DiagramType(tuple(sorted(gamma, reverse=True)), eps)
+            assert type_of(RamifiedDiagram.parse(text)) == DiagramType(gamma, eps)
 
 
 class TestDepthStructure:
@@ -457,8 +384,9 @@ class TestDepthStructure:
         assert is_depth_radical(southern_singleton)
 
     def test_non_rectangular_index_rejected(self):
-        rd = v_elementary((2, 1), (), a=0)  # index (1, 1) is fine
-        bad = horizontal_concat(rd, v_xy(2, 0))  # index (2, 1, 1)
+        bad = RamifiedDiagram.parse(
+            "{1}|{2}|{3,4'}|{4,5'}|{1'}|{2'}|{3'}@{1,1',2'}|{2,3'}|{3,4,4',5'}")
+        assert propagating_index(bad) == (2, 0, 0)
         with pytest.raises(ValueError):
             is_depth_radical(bad)
 

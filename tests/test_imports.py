@@ -1,6 +1,7 @@
 """The lint step: no module of the package or the tests imports a name it
-never uses, and no module of the package keeps a module-level cache.
-Standard library only, so it runs wherever the tests run.
+never uses, no module of the package keeps a module-level cache, and every
+module-level function and class of the package is reached.  Standard
+library only, so it runs wherever the tests run.
 
 An import counts as used when its name is read inside the function (or
 module) that imports it, or, at module level, when ``__all__`` lists it.
@@ -13,9 +14,16 @@ and shows its size nowhere; a memo table is an ``lru_cache``, whose
 
 An unbounded cache is ``functools.cache`` or ``lru_cache(maxsize=None)``.
 The package keeps a fixed list of them, which may shrink but not grow.
+
+A definition is reached when package code outside its own body reads it, as
+a name or an attribute; or when a file of the benchmark names it, string
+constants included, since the tracer binds kernels by ``getattr``; or when
+an ``__all__`` lists it.  Tests alone do not keep a definition in the
+package: what only tests read belongs in ``tests/oracles.py``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -254,3 +262,65 @@ def test_detects_unbounded_caches():
         "@functools.lru_cache()\n"
         "def i(x): return x\n")
     assert unbounded_caches(tree) == [(6, "a"), (8, "b"), (10, "c"), (12, "d"), (14, "e")]
+
+
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _read_names(node):
+    """Each name that ``node`` reads as a name or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+def _named(tree) -> set:
+    """Names that ``tree`` reads, and its string constants that are
+    identifiers."""
+    return set(_read_names(tree)) | {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.isidentifier()}
+
+
+def unreached(modules: dict, named: set) -> list:
+    """(module, line, name) of every module-level function or class of
+    ``modules`` (name -> tree) that no code outside its own body reads and
+    that neither ``named`` nor an ``__all__`` holds."""
+    reads = Counter()
+    for tree in modules.values():
+        reads.update(_read_names(tree))
+    kept = named.union(*map(_exported, modules.values()))
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in modules.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in kept
+                  and reads[node.name] == sum(n == node.name for n in _read_names(node)))
+
+
+def test_every_definition_is_reached():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    named = set().union(*(_named(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in BENCHMARK))
+    assert unreached(modules, named) == []
+
+
+def test_detects_unreached_definitions():
+    modules = {
+        "a": ast.parse(
+            "__all__ = ['exported']\n"
+            "def exported(): return 1\n"
+            "def recursive(n): return recursive(n - 1) if n else 0\n"
+            "def helper(): return 2\n"
+            "class Box:\n"
+            "    def make(self): return Box()\n"
+            "def traced(): return 3\n"
+            "def by_name(): return 4\n"),
+        "b": ast.parse(
+            "import a\n"
+            "def user(): return a.helper() + a.exported()\n"),
+    }
+    named = _named(ast.parse("import a\nWRAP = [(a, 'by_name')]\nprint(a.traced, 'user')\n"))
+    assert unreached(modules, named) == [("a", 3, "recursive"), ("a", 5, "Box")]

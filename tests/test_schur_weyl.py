@@ -9,26 +9,21 @@ from hypothesis import given, settings, strategies as st
 from plethyra import schur_weyl
 from plethyra.cli import run
 from plethyra.diagrams import PartitionDiagram, RamifiedDiagram, compose, ramified_compose
-from plethyra.partitions import bell_number, line_set_partitions
+from plethyra.partitions import line_set_partitions
 from plethyra.schur_weyl import (
     BudgetError,
     SparseExactMatrix,
     check_commute,
     diagram_action,
     faithfulness_rank,
-    flatten_index,
-    minimal_r_tuple,
-    orbit_action,
     ramified_action,
     ramified_generators,
     sym_action,
-    value_type,
-    ramified_value_type,
     wreath_embed,
     wreath_generators,
 )
 
-from oracles import commute_by_products, dense_rank
+from oracles import bell_by_recurrence, commute_by_products, dense_rank, orbit_action
 
 
 def all_diagrams(r):
@@ -174,8 +169,13 @@ class TestRamifiedAction:
             assert lhs == ramified_action(r1, m, n, 2) @ ramified_action(r2, m, n, 2)
 
     def test_flatten_convention(self):
-        assert flatten_index(1, 1, 3) == 1
-        assert flatten_index(3, 2, 3) == 6
+        # v^j_i is e^((j-1)m + i): an inner cut inside one outer block frees
+        # the subscript and keeps the superscript, so e^3 = v^1_3 reaches
+        # e^1..e^3 and e^6 = v^2_3 reaches e^4..e^6
+        rd = RamifiedDiagram(PartitionDiagram.p_gen(1, 1), PartitionDiagram.identity(1))
+        rows = ramified_action(rd, 3, 2, 1).rows
+        assert sorted(rows[(3,)]) == [(1,), (2,), (3,)]
+        assert sorted(rows[(6,)]) == [(4,), (5,), (6,)]
 
 
 class TestCommutation:
@@ -237,7 +237,7 @@ class TestCommutation:
 
 class TestFaithfulness:
     def test_rank_full(self):
-        assert faithfulness_rank(4, 2) == 15 == bell_number(4)
+        assert faithfulness_rank(4, 2) == 15 == bell_by_recurrence(4)
 
     def test_rank_deficient_below_threshold(self):
         assert faithfulness_rank(2, 2) < 15
@@ -256,7 +256,7 @@ class TestFaithfulness:
             faithfulness_rank(6, 3, cap=10**3)
 
     def test_rank_six_three(self):
-        assert faithfulness_rank(6, 3) == bell_number(6) == 203
+        assert faithfulness_rank(6, 3) == bell_by_recurrence(6) == 203
 
     def test_rank_two_four_strands(self):
         assert faithfulness_rank(2, 4) == 128 == stirling2(8, 1) + stirling2(8, 2)
@@ -321,45 +321,3 @@ class TestGF2Rank:
         assert run(["schur-weyl", "--rank", "2", "2"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: uncertified rank")
-
-
-class TestValueTypes:
-    def test_plain_example(self):
-        e = (1, 1, 1, 2, 3, 2, 3)
-        assert value_type(e) == ((1, 2, 3), (4, 6), (5, 7))
-
-    def test_constant_tensor(self):
-        assert value_type((2, 2, 2)) == ((1, 2, 3),)
-        pure = tuple((1, 1) for _ in range(4))
-        r_part, s_part = ramified_value_type(pure)
-        assert r_part == s_part == ((1, 2, 3, 4),)
-
-    def test_worked_ramified_example(self):
-        v = ((2, 1), (1, 1), (1, 1), (3, 2), (2, 3), (3, 2), (3, 3))
-        r_part, s_part = ramified_value_type(v)
-        assert s_part == ((1, 2, 3), (4, 6), (5, 7))
-        assert r_part == ((1,), (2, 3), (4, 6), (5,), (7,))
-        assert minimal_r_tuple(r_part, s_part) == (1, 2, 2, 1, 1, 1, 2)
-
-    def test_minimal_tuple_requires_refinement(self):
-        with pytest.raises(ValueError):
-            minimal_r_tuple(((1, 2),), ((1,), (2,)))
-        # R on a larger ground set than S
-        with pytest.raises(ValueError):
-            minimal_r_tuple(((1, 2),), ((1,),))
-
-    def test_minimal_tuple_realizes_type(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            pairs = tuple((rng.randint(1, 3), rng.randint(1, 3)) for _ in range(6))
-            r_part, s_part = ramified_value_type(pairs)
-            minimal = minimal_r_tuple(r_part, s_part)
-            # reassemble with fresh superscripts per S-block
-            supers = {}
-            for idx, block in enumerate(s_part):
-                for v in block:
-                    supers[v] = idx + 1
-            rebuilt = tuple(
-                (minimal[pos - 1], supers[pos]) for pos in range(1, 7)
-            )
-            assert ramified_value_type(rebuilt) == (r_part, s_part)

@@ -227,7 +227,8 @@ class TestBasisTransition:
         assert powersum_to_schur(PowerSumPoly({(1,): 1})) == s((1,))
 
     def test_p2(self):
-        assert powersum_to_schur(PowerSumPoly({(2,): 1})) == SchurPoly(
+        # the class function of p_2 is z_(2) = 2 at (2)
+        assert powersum_to_schur(PowerSumPoly({(2,): 2})) == SchurPoly(
             {(2,): 1, (1, 1): -1}
         )
 
@@ -242,10 +243,9 @@ class TestBasisTransition:
         assert powersum_to_schur(schur_to_powersum(s(lam))) == s(lam)
 
     def test_non_integral_rejected(self):
-        from fractions import Fraction
-
-        with pytest.raises(ValueError):
-            powersum_to_schur(PowerSumPoly({(1,): Fraction(1, 2)}))
+        # value 1 at (1, 1) is p_1^2 / 2 = (s_2 + s_11) / 2
+        with pytest.raises(ValueError, match="non-integral Schur coefficient"):
+            powersum_to_schur(PowerSumPoly({(1, 1): 1}))
 
 
 class TestInnerProduct:
