@@ -6,8 +6,8 @@ function per (alpha, beta, r = |kappa|): F = sum over p of G_p * H_{r-p},
 where G_p sums the G^alpha_{beta,gamma} of degree p and H_q the h_eps with
 singleton-free eps of size q.  All the G_p come from one walk over part
 sizes and the H_q from the series h[h_2 + h_3 + ...], with no gamma or eps
-listed, no generalized LR coefficient and no plethysm.  F is assembled from
-class functions and converted to Schur form once.  It does not depend on
+listed, no generalized LR coefficient and no plethysm.  F is assembled in
+power sums and converted to Schur form once.  It does not depend on
 kappa, so it is built once and every kappa of r is read off it.
 """
 
@@ -55,10 +55,10 @@ def _check_degree(degree, max_degree):
 
 def plethysm_coefficient(nu, mu, lam, max_degree=None) -> int:
     """Multiplicity of s_lam in s_nu o s_mu, from the plethysm's integer
-    class function.
+    power-sum values n! [p_rho].
 
-    The full Schur form is not built: the coefficient is the pairing of the
-    class function with the one character row chi^lam over its support,
+    The full Schur form is not built: the coefficient is the pairing of
+    those values with the one character row chi^lam over their support,
     divided by n! once.
     """
     nu, mu, lam = as_partition(nu), as_partition(mu), as_partition(lam)
@@ -88,14 +88,15 @@ def _branching_function(alpha, beta, r) -> SchurPoly:
 
     G_p sums G^alpha_{beta,gamma} over every gamma of degree p, all from
     one walk with free counts; H_q sums h_eps over the singleton-free eps
-    of size q.  H_1 = 0, so the walk skips degree r - 1.  F is summed as a
-    class function and converted to Schur form once.
+    of size q.  H_1 = 0, so the walk skips degree r - 1.  F is summed in
+    power sums and converted to Schur form once.  The walk runs before H
+    is built, so H's values are not alive at the walk's peak.
     """
     a, b = sum(alpha), sum(beta)
     if r < a * b:
         raise DomainError(f"rc requires |kappa| >= |alpha|*|beta|: {r} < {a * b}")
-    h = singleton_free_series(r - a * b)
     walk = _branching_walk(alpha, beta, degrees={p for p in range(r + 1) if p != r - 1})
+    h = singleton_free_series(r - a * b)
     return powersum_to_schur(weighted_sum((1, g * h[r - p]) for p, g in walk.items()))
 
 
@@ -114,10 +115,17 @@ class CoefficientReport(NamedTuple):
     bounds_met: bool
 
 
-def bounds_met(beta, m, n, r) -> bool:
-    """Stability range: m >= r - |beta| + [beta nonempty], n >= r + beta_1."""
+def stability_bounds(beta, r) -> tuple:
+    """(m_min, n_min) = (r - |beta| + [beta nonempty], r + beta_1): the
+    stability range of p(beta[n], (m), kappa[mn]) for |kappa| = r."""
     beta = tuple(beta)
-    return m >= r - sum(beta) + (1 if beta else 0) and n >= r + (beta[0] if beta else 0)
+    return r - sum(beta) + (1 if beta else 0), r + (beta[0] if beta else 0)
+
+
+def bounds_met(beta, m, n, r) -> bool:
+    """Whether (m, n) lies in the stability range of ``stability_bounds``."""
+    m_min, n_min = stability_bounds(beta, r)
+    return m >= m_min and n >= n_min
 
 
 def stable_plethysm(beta, m, n, kappa, max_degree=None) -> CoefficientReport:
@@ -229,25 +237,15 @@ def tightness_check(b: int, r: int, max_degree=None) -> TightnessReport:
     """
     if r <= b:
         raise DomainError(f"tightness_check requires r > b, got r = {r}, b = {b}")
-    stable = ramified_branching((), (b,) if b else (), (r,))
-    expected = stable - 1
+    beta = (b,) if b else ()
+    expected = ramified_branching((), beta, (r,)) - 1
+    m_min, n_min = stability_bounds(beta, r)
 
-    def brute(nu, mu, lam):
-        return plethysm_coefficient(nu, mu, lam, max_degree=max_degree)
+    def slot(m, n):
+        value = plethysm_coefficient(pad(beta, n), (m,), (m * n - r, r), max_degree=max_degree)
+        return value, expected
 
-    # m one below its bound, n at its bound
-    if b > 0:
-        n, m = r + b, r - b
-        value = brute((r, b), (m,), (m * n - r, r))
-    else:
-        n, m = r, r - 1
-        value = brute((r,), (m,), (m * n - r, r))
-    m_step = (value, expected)
-
-    # n one below its bound, m at and above its own bound
-    n = r + b - 1
-    m_at = r - b + (1 if b else 0)
-    nu = (r - 1, b) if b else (r - 1,)
-    n_step_at = (brute(nu, (m_at,), (m_at * n - r, r)), expected)
-    n_step_above = (brute(nu, (m_at + 1,), ((m_at + 1) * n - r, r)), expected)
-    return TightnessReport(b, r, m_step, n_step_at, n_step_above)
+    # m one below its bound with n at its bound; then n one below its
+    # bound with m at and above its own bound
+    return TightnessReport(b, r, slot(m_min - 1, n_min), slot(m_min, n_min - 1),
+                           slot(m_min + 1, n_min - 1))

@@ -1,13 +1,13 @@
 """Exact symmetric-function arithmetic in the Schur and power-sum bases.
 
 Everything is an int.  Schur coefficients are integers, and the power-sum
-side holds a symmetric function as its class function rho -> <f, p_rho>,
-which is integral wherever f is Schur-integral; divisions by n! happen once,
+side holds a symmetric function f by the values n! [p_rho] f, n = |rho|,
+which are integral wherever f is Schur-integral; divisions by n! happen once,
 at the end, and are checked to be exact.  Littlewood-Richardson
 coefficients come from direct lattice-word tableaux enumeration, and basis
 changes go through Murnaghan-Nakayama border strips on beta-sets.
 
-The branching functions are class functions.  g_sym and its sum over every
+The branching functions are held in power sums.  g_sym and its sum over every
 gamma come from one walk over part sizes that restricts chi^beta to Young
 subgroups, with no plethysm and no Schur product: the components of the
 Pieri products s_alpha * h_i that feed it are the horizontal strips added to
@@ -107,12 +107,12 @@ class SchurPoly:
 
 
 class PowerSumPoly:
-    """A symmetric function f held as its class function rho -> <f, p_rho>.
+    """A symmetric function f held by its power-sum coefficients.
 
-    ``terms`` maps each cycle type rho to z_rho times the coefficient of
-    p_rho in f: the character of the matching S_n-module, so an int wherever
-    f is Schur-integral (for s_lam it is chi^lam).  The constructor takes
-    this class function and drops its zero values.
+    ``terms`` maps each cycle type rho to n! times the coefficient of p_rho
+    in f, n = |rho|: an int wherever f is Schur-integral (for s_lam it is
+    (n!/z_rho) chi^lam(rho)).  The constructor takes these values and drops
+    the zeros.
     """
 
     __slots__ = ("terms",)
@@ -121,46 +121,42 @@ class PowerSumPoly:
         self.terms = {rho: v for rho, v in (values or {}).items() if v}
 
     def __mul__(self, other):
-        """(fg)(rho) = sum over sigma + tau = rho of
-        prod_k C(m_k(rho), m_k(tau)) f(sigma) g(tau), where m_k counts the
-        parts equal to k; only the parts of tau can give a factor other
-        than 1, so tau runs over the smaller support.  A factor 1 returns
-        the other factor itself."""
+        """p_sigma p_tau = p_(sigma + tau), so (fg)(rho) sums
+        C(|sigma| + |tau|, |tau|) f(sigma) g(tau) over sigma + tau = rho:
+        the binomial turns |sigma|! |tau|! into |rho|!, and is taken once
+        per sigma and degree of tau.  A factor 1 returns the other factor
+        itself."""
         if self.terms == {(): 1} or other.terms == {(): 1}:
             return other if self.terms == {(): 1} else self
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        factors = [(tau, v, [(k, tau.count(k)) for k in set(tau)]) for tau, v in small.items()]
-        acc = {}
-        for sigma, a in big.items():
-            for tau, b, mults in factors:
-                c = a * b
-                for k, m in mults:
-                    shared = sigma.count(k)
-                    if shared:
-                        c *= math.comb(shared + m, m)
-                key = tuple(sorted(sigma + tau, reverse=True))
-                acc[key] = acc.get(key, 0) + c
+        by_degree = defaultdict(list)
+        for tau, b in other.terms.items():
+            by_degree[sum(tau)].append((tau, b))
+        acc = defaultdict(int)
+        for sigma, a in self.terms.items():
+            n = sum(sigma)
+            for m, taus in by_degree.items():
+                c = math.comb(n + m, m) * a
+                for tau, b in taus:
+                    acc[tuple(sorted(sigma + tau, reverse=True))] += c * b
         return PowerSumPoly(acc)
 
     __rmul__ = __mul__
 
     def schur_coefficient(self, lam) -> int:
-        """<self, s_lam> = (1/n!) sum over rho of (n!/z_rho) self(rho)
-        chi^lam(rho), for self homogeneous of degree n = |lam|: one
-        character row over self's support and one exact division."""
+        """<self, s_lam> = (1/n!) sum over rho of self(rho) chi^lam(rho),
+        since <p_rho, s_lam> = chi^lam(rho), for self homogeneous of degree
+        n = |lam|: one character row over self's support and one exact
+        division."""
         lam = tuple(lam)
-        n = sum(lam)
-        weights = _factorial_coefficients(self.terms, n)
-        total = sum(w * chi for w, chi in zip(weights.values(), _character_row(lam, weights)))
-        return _divide_exactly(total, math.factorial(n), "Schur coefficient", lam)
+        total = sum(v * chi for v, chi in zip(self.terms.values(), _character_row(lam, self.terms)))
+        return _divide_exactly(total, math.factorial(sum(lam)), "Schur coefficient", lam)
 
     def scale_parts(self, k: int) -> "PowerSumPoly":
-        """Substitute p_j -> p_{jk}, the plethysm by p_k: the class value
-        at k*sigma is k^ell(sigma) times the value at sigma."""
+        """Substitute p_j -> p_{jk}, the plethysm by p_k: p_sigma goes to
+        p_(k sigma), so the value at k*sigma is the value at sigma times
+        (k|sigma|)!/|sigma|!, the falling factorial perm(k|sigma|, (k-1)|sigma|)."""
         return PowerSumPoly(
-            {tuple(k * part for part in rho): k ** len(rho) * v
+            {tuple(k * part for part in rho): math.perm(k * sum(rho), (k - 1) * sum(rho)) * v
              for rho, v in self.terms.items()}
         )
 
@@ -173,9 +169,9 @@ class PowerSumPoly:
     def __repr__(self):
         bits = []
         for r, v in sorted(self.terms.items(), reverse=True):
-            z = zee(r)
-            g = math.gcd(v, z)
-            c = str(v // g) if z == g else f"{v // g}/{z // g}"
+            scale = math.factorial(sum(r))
+            g = math.gcd(v, scale)
+            c = str(v // g) if scale == g else f"{v // g}/{scale // g}"
             bits.append(f"{c}*p{list(r)}")
         return "PowerSumPoly(" + (" + ".join(bits) or "0") + ")"
 
@@ -193,13 +189,6 @@ def weighted_sum(pairs) -> PowerSumPoly:
     return PowerSumPoly(acc)
 
 
-def _factorial_coefficients(values, n) -> dict:
-    """n! times the coefficient of p_rho, (n!/z_rho) f(rho), for each rho of
-    size n in the class function ``values``: all integers."""
-    scale = math.factorial(n)
-    return {rho: scale // zee(rho) * v for rho, v in values.items()}
-
-
 def _divide_exactly(total, scale, what, where) -> int:
     """total / scale, where the value is known to be an integer."""
     q, r = divmod(total, scale)
@@ -213,10 +202,10 @@ def _divide_exactly(total, scale, what, where) -> int:
 
 
 def _divided(values, scale) -> PowerSumPoly:
-    """The class function ``values`` / scale, each value known to be an
+    """The power-sum values ``values`` / scale, each known to be an
     integer."""
     return PowerSumPoly(
-        {rho: _divide_exactly(v, scale, "class value", rho) for rho, v in values.items()})
+        {rho: _divide_exactly(v, scale, "power-sum value", rho) for rho, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +295,7 @@ def generalized_lr(beta, seq) -> int:
     """Generalized LR coefficient: multiplicity of the tensor product of
     the Specht modules labelled by ``seq`` in the restriction of the one
     labelled by ``beta``, read as <prod of the s_x over seq, s_beta> from
-    one class-function product.  Insensitive to the order of ``seq``.
+    one power-sum product.  Insensitive to the order of ``seq``.
     """
     if sum(map(sum, seq)) != sum(beta):
         return 0
@@ -368,6 +357,8 @@ def _character_row(lam, rhos) -> list:
     rhos = [tuple(rho) for rho in rhos]
     if any(sum(rho) != n for rho in rhos):
         raise ValueError("character requires |lam| = |rho|")
+    if len(lam) < 2:  # the trivial character
+        return [1] * len(rhos)
     strips = {}
     stack = [{_beads(lam, len(lam)): 1}]  # stack[i]: counts after i strips
     previous = ()
@@ -429,12 +420,14 @@ def _horner(coeffs, unit, times) -> dict:
 
 
 def schur_to_powersum(f: SchurPoly) -> PowerSumPoly:
-    """The class function of f: the sum of its Schur terms' character rows."""
+    """The power-sum form of f: s_lam = sum over rho of chi^lam(rho) p_rho /
+    z_rho, so it holds (n!/z_rho) chi^lam(rho) at each rho |- n = |lam|.
+    The one place where a character becomes a value."""
     values = defaultdict(int)
     for lam, c in f.terms.items():
-        rhos = partitions_of(sum(lam))
+        rhos, scale = partitions_of(sum(lam)), math.factorial(sum(lam))
         for rho, chi in zip(rhos, _character_row(lam, rhos)):
-            values[rho] += c * chi
+            values[rho] += c * chi * (scale // zee(rho))
     return PowerSumPoly(values)
 
 
@@ -451,16 +444,15 @@ def _add_strips(schur, k) -> dict:
 
 def powersum_to_schur(g: PowerSumPoly) -> SchurPoly:
     """Inverse transition; requires integral Schur coefficients.  Each
-    degree n is converted as n! g = sum (n!/z_rho) g(rho) p_rho, one border
+    degree n is converted as n! g = sum over rho of g(rho) p_rho, one border
     strip per part, and divided by n! once."""
     by_degree = defaultdict(dict)
     for rho, v in g.terms.items():
         by_degree[sum(rho)][rho] = v
     out = {}
     for n, values in by_degree.items():
-        coeffs = _factorial_coefficients(values, n)
         scale = math.factorial(n)
-        for beads, c in _horner(coeffs, _beads((), n), _add_strips).items():
+        for beads, c in _horner(values, _beads((), n), _add_strips).items():
             lam = _shape(beads)
             out[lam] = _divide_exactly(c, scale, "Schur coefficient", lam)
     return SchurPoly(out)
@@ -480,8 +472,8 @@ def _require_homogeneous(f: SchurPoly, name: str) -> int:
 
 def plethysm_powersum(f: SchurPoly, g: SchurPoly) -> PowerSumPoly:
     """Power-sum expansion of the plethysm f o g (f, g homogeneous):
-    f o g = (1/n!) sum over rho of n of (n!/z_rho) f(rho) prod_i p_{rho_i} o g,
-    with one exact division at the end."""
+    f o g = (1/n!) sum over rho of n of f(rho) prod_i p_{rho_i} o g, with
+    one exact division at the end."""
     n = _require_homogeneous(f, "left operand")
     dg = _require_homogeneous(g, "right operand")
     if dg < 1:
@@ -494,8 +486,7 @@ def plethysm_powersum(f: SchurPoly, g: SchurPoly) -> PowerSumPoly:
             scaled[k] = gp.scale_parts(k)
         return (PowerSumPoly(values) * scaled[k]).terms
 
-    weights = _factorial_coefficients(schur_to_powersum(f).terms, n)
-    return _divided(_horner(weights, (), times_p_of_g), math.factorial(n))
+    return _divided(_horner(schur_to_powersum(f).terms, (), times_p_of_g), math.factorial(n))
 
 
 def plethysm(f: SchurPoly, g: SchurPoly) -> SchurPoly:
@@ -511,16 +502,17 @@ PLETHYSM_CACHE_SIZE = 256
 
 @functools.lru_cache(maxsize=PLETHYSM_CACHE_SIZE)
 def _plethysm_expansion(nu, mu) -> PowerSumPoly:
-    """The one plethysm cache, keyed by (nu, mu): s_nu o s_mu as a class
-    function."""
+    """The one plethysm cache, keyed by (nu, mu): s_nu o s_mu in power
+    sums."""
     return plethysm_powersum(SchurPoly.schur(nu), SchurPoly.schur(mu))
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def h_eps(eps) -> PowerSumPoly:
     """Product over part sizes j of s_(e_j) o s_(j), where e_j is the
-    multiplicity of j in eps, as a class function: the permutation
-    character on set-partitions with block sizes eps.
+    multiplicity of j in eps, in power sums: the Frobenius image of the
+    permutation character on set-partitions with block sizes eps, so its
+    value at (1^q) is the number of those set-partitions.
     """
     eps = tuple(eps)
     mult = {}
@@ -590,8 +582,8 @@ def _branching_walk(alpha, beta, counts=None, degrees=()) -> dict:
 
 
 def g_sym(alpha, beta, gamma) -> PowerSumPoly:
-    """The branching symmetric function G^alpha_{beta, gamma}, as a class
-    function: ``_branching_walk`` with the multiplicities of gamma as fixed
+    """The branching symmetric function G^alpha_{beta, gamma}, in power
+    sums: ``_branching_walk`` with the multiplicities of gamma as fixed
     counts.  Zero parts of gamma are dropped, and gamma carries
     |beta| - ell(gamma) distinguished zero parts.  Returns 0 exactly when
     the side conditions fail: ell(gamma) > |beta|, or zero parts with alpha
@@ -610,7 +602,7 @@ def singleton_free_series(top) -> list:
     eps |- n.  Their sum is h[h_2 + h_3 + ...] (Macdonald I.2), so n H_n is
     the sum over m >= 2 of M_m H_{n-m}, M_m = sum over jk = m, j >= 2, of
     j p_k[h_j]."""
-    h = [PowerSumPoly(dict.fromkeys(partitions_of(j), 1)) for j in range(top + 1)]
+    h = [schur_to_powersum(SchurPoly({(j,) if j else (): 1})) for j in range(top + 1)]
     logs = [weighted_sum((j, h[j].scale_parts(m // j)) for j in range(2, m + 1) if m % j == 0)
             for m in range(top + 1)]
     series = [PowerSumPoly({(): 1})]

@@ -64,8 +64,7 @@ def _stable_range_cases():
     """(beta, m, n, kappa, beta[n], kappa[mn]) at the bounds, where the paddings exist."""
     for beta in [(), (1,), (2,), (1, 1)]:
         for r in range(1, 5):
-            m = r - sum(beta) + (1 if beta else 0)
-            n = r + (beta[0] if beta else 0)
+            m, n = coefficients.stability_bounds(beta, r)
             if m < 1:
                 continue
             for kappa in partitions.partitions_of(r):
@@ -301,8 +300,7 @@ def check_cayley_sylvester():
 def check_hooks():
     for b in range(4):
         for r in range(1, 5):
-            m = r - b + (1 if b else 0)
-            n = r + (1 if b else 0)
+            m, n = coefficients.stability_bounds((1,) * b, r)
             if m < 1 or n - b < 1 or m * n - r < 1:
                 continue
             nu = (n - b,) + (1,) * b

@@ -211,7 +211,7 @@ def characters_by_jacobi_trudi(lam):
 
 
 def g_sym_by_pieces(alpha, beta, gamma):
-    """G^alpha_{beta,gamma} as a class function, by the pieces: each part
+    """G^alpha_{beta,gamma} in power sums, by the pieces: each part
     size i of gamma (zero parts included, |beta| - ell(gamma) of them) with
     multiplicity c takes a piece |- c, each sequence of pieces is weighted
     by its generalized LR coefficient, and a piece contributes the sum of
@@ -252,7 +252,7 @@ def ramified_branching_by_summands(alpha, beta, kappa):
     """rc(alpha^beta, kappa) as the sum of <G^alpha_{beta,gamma} H_eps, s_kappa>
     over every pair (gamma, eps): G from ``g_sym_by_pieces`` and the
     package's h_eps are converted to Schur form and each product is
-    multiplied out by LR coefficients, not in the class functions that
+    multiplied out by LR coefficients, not in the power sums that
     assemble F."""
     from plethyra.coefficients import DomainError
     from plethyra.partitions import (

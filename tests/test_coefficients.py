@@ -131,7 +131,7 @@ class TestRamifiedBranching:
                 ramified_branching_by_summands(alpha, beta, kappa)), kappa
 
     def test_branching_function_multiplies_no_schur_pair(self):
-        """F is assembled from class functions by one walk over part sizes,
+        """F is assembled in power sums by one walk over part sizes,
         whose Pieri components are horizontal strips: building it for alpha
         empty or (1) takes no Schur product, no generalized LR coefficient
         and no cached plethysm."""

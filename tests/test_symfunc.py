@@ -49,6 +49,25 @@ def plethysm_pair(draw):
             draw(st.sampled_from(partitions_of(dm))))
 
 
+@st.composite
+def mixed_degree_poly(draw, top):
+    """An integer Schur sum with terms of two different degrees <= top."""
+    low = draw(st.integers(0, top - 1))
+    terms = {}
+    for d in (low, draw(st.integers(low + 1, top))):
+        for lam in draw(st.lists(st.sampled_from(partitions_of(d)),
+                                 min_size=1, max_size=2, unique=True)):
+            terms[lam] = draw(st.integers(-3, 3).filter(bool))
+    return SchurPoly(terms)
+
+
+@st.composite
+def mixed_degree_pair(draw):
+    """(f, g), each with terms of two different degrees, total degree <= 9."""
+    top = draw(st.integers(1, 8))
+    return draw(mixed_degree_poly(top)), draw(mixed_degree_poly(9 - top))
+
+
 small_partition = st.lists(st.integers(1, 4), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
@@ -223,11 +242,30 @@ class TestPowerSumKernels:
 
 
 class TestBasisTransition:
+    def test_stored_value_is_n_factorial_times_coefficient(self):
+        """schur_to_powersum(s_lam) holds n! [p_rho] s_lam, which is
+        (n!/z_rho) chi^lam(rho), with chi from Jacobi-Trudi determinants."""
+        for n in range(9):
+            for lam in partitions_of(n):
+                chi = characters_by_jacobi_trudi(lam)
+                terms = schur_to_powersum(s(lam)).terms
+                for rho in partitions_of(n):
+                    assert terms.get(rho, 0) * zee(rho) == math.factorial(n) * chi[rho], (lam, rho)
+
+    @given(mixed_degree_pair())
+    @seed(256)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_mixed_degree_product_against_lr(self, pair):
+        """Products of sums that mix degrees, as Horner's intermediate sums
+        do, against the product by LR fillings."""
+        f, g = pair
+        assert powersum_to_schur(schur_to_powersum(f) * schur_to_powersum(g)) == f * g
+
     def test_p1_is_s1(self):
         assert powersum_to_schur(PowerSumPoly({(1,): 1})) == s((1,))
 
     def test_p2(self):
-        # the class function of p_2 is z_(2) = 2 at (2)
+        # p_2 is held by its value 2! [p_2] p_2 = 2 at (2)
         assert powersum_to_schur(PowerSumPoly({(2,): 2})) == SchurPoly(
             {(2,): 1, (1, 1): -1}
         )
@@ -243,7 +281,7 @@ class TestBasisTransition:
         assert powersum_to_schur(schur_to_powersum(s(lam))) == s(lam)
 
     def test_non_integral_rejected(self):
-        # value 1 at (1, 1) is p_1^2 / 2 = (s_2 + s_11) / 2
+        # value 1 at (1, 1) is 2! [p_1^2] f = 1, so f = p_1^2 / 2 = (s_2 + s_11) / 2
         with pytest.raises(ValueError, match="non-integral Schur coefficient"):
             powersum_to_schur(PowerSumPoly({(1, 1): 1}))
 
